@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence
 
@@ -28,13 +27,14 @@ from .core import (
 )
 from .equilibria import (
     EquilibriumRecord,
-    Family,
-    casimir_on_type1,
+    closed_form_grid,
     type1,
+    type1_arrays,
     type2,
+    type2_arrays,
     type2_threshold,
 )
-from .stability import Classification, linearize
+from .stability import stability_arrays
 from .reduced import casimir_array
 
 B_CRITICAL = (4.0 / 3.0) * 3.0**0.25      # minimum of the existence threshold
@@ -80,7 +80,6 @@ def _metadata(params: Optional[SystemParams], potential: str, tol: Tolerances) -
         "potential": potential,
         "tol_residual": tol.record_residual,
         "tol_classify": tol.classify,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     if params is not None:
         md.update(mu1=params.mu1, mu2=params.mu2, e1=params.e1, e2=params.e2, B=params.B)
@@ -191,17 +190,15 @@ def energy_casimir_diagram(
         ("TypeI_obtuse", np.pi / 2, np.pi),
     ):
         qs = q_samples[(q_samples > lo + 1e-4) & (q_samples < hi - 1e-4)]
-        recs = [type1(q, B)[0] for q in qs]
-        C = np.array([r.C for r in recs])
-        H = np.array([r.H for r in recs])
+        forms = type1_arrays(qs, B)
+        C, H = forms.C[0], forms.H[0]
         branches.append(Branch(tag, qs, C, H, _find_cusps(qs, C, H)))
     if B > B_CRITICAL:
         q0, q1 = type2_window(B)
         qs = np.linspace(q0 + 1e-9, q1 - 1e-9, max(200, len(q_samples) // 2))
+        forms = type2_arrays(qs, B)
         for tag, idx in (("TypeII_plus", 0), ("TypeII_minus", 1)):
-            recs = [type2(q, B)[idx] for q in qs]
-            C = np.array([r.C for r in recs])
-            H = np.array([r.H for r in recs])
+            C, H = forms.C[idx], forms.H[idx]
             branches.append(Branch(tag, qs, C, H, _find_cusps(qs, C, H)))
     return EnergyCasimirDiagram(B=B, branches=branches)
 
@@ -280,21 +277,18 @@ def bc_region(
     """
     if B_samples is None:
         B_samples = np.linspace(B_CRITICAL + 0.01, 10.0, 120)
+    Bs = np.array([B for B in B_samples if B > B_CRITICAL], dtype=float)
+    windows = [type2_window(B) for B in Bs]
+    qs = np.array([np.linspace(q0 + 1e-10, q1 - 1e-10, n_q) for q0, q1 in windows])
+    forms = type2_arrays(qs.reshape(len(Bs), n_q), Bs[:, None])   # reshape: no B above B*
+    # on the threshold the single record stands for both branches
+    C_plus = forms.C[0]
+    C_minus = np.where(forms.count == 2, forms.C[1], forms.C[0])
     traces = []
-    for B in B_samples:
-        if B <= B_CRITICAL:
-            continue
-        q0, q1 = type2_window(B)
-        qs = np.linspace(q0 + 1e-10, q1 - 1e-10, n_q)
-        Cp, Cm = [], []
-        for q in qs:
-            recs = type2(q, B)
-            Cp.append(recs[0].C)
-            Cm.append(recs[1].C if len(recs) > 1 else recs[0].C)
-        Cp, Cm = np.array(Cp), np.array(Cm)
+    for B, q, Cp, Cm in zip(Bs, qs, C_plus, C_minus):
         allC = np.concatenate([Cp, Cm])
         traces.append(
-            {"B": float(B), "q": qs, "C_plus": Cp, "C_minus": Cm,
+            {"B": float(B), "q": q, "C_plus": Cp, "C_minus": Cm,
              "C_min": float(np.min(allC)), "C_max": float(np.max(allC))}
         )
     # the region pinches off at the critical strength; C there from the
@@ -406,28 +400,26 @@ def stability_grid(
     tol: Tolerances = DEFAULT_TOL,
 ) -> AtlasGrid:
     """Classified closed-form equilibria over a (q, B) grid (identical
-    particles).  Cell entries are (family, H, C, class) tuples."""
+    particles).  Cell entries are (family, H, C, class) tuples; records
+    above the residual cut are left out."""
     if q_axis is None:
         q_axis = default_q_axis(120)
     if B_axis is None:
         B_axis = default_B_axis(60)
-    cells = []
-    for q in q_axis:
-        for B in B_axis:
-            params = identical_params(B)
-            V = cot_potential(params)
-            entries = []
-            recs = []
-            if families in ("both", "type1") and abs(q - np.pi / 2) > 1e-4:
-                recs += list(type1(q, B))
-            if families in ("both", "type2"):
-                recs += type2(q, B)
-            for r in recs:
-                if r.residual > tol.record_residual:
-                    continue
-                rep = linearize(r, V, tol, with_hessian=False)
-                entries.append((r.family.value, r.H, r.C, rep.classification.value))
-            cells.append({"q": float(q), "B": float(B), "entries": entries})
+    grid = closed_form_grid(q_axis, B_axis, families, tol)
+    keep = ~(grid.residual > tol.record_residual)
+    params = identical_params(grid.B[keep])
+    _, _, classes = stability_arrays(grid.states()[:, keep], params, cot_potential(params), tol)
+    cells = [{"q": float(q), "B": float(B), "entries": []} for q in q_axis for B in B_axis]
+    kept = zip(
+        grid.cell[keep].tolist(),
+        grid.family[keep],
+        grid.H[keep].tolist(),
+        grid.C[keep].tolist(),
+        classes,
+    )
+    for i, family, H, C, cls in kept:
+        cells[i]["entries"].append((family.value, H, C, cls.value))
     return AtlasGrid(
         axes={"q": q_axis, "B": B_axis},
         cells=cells,

@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,14 +30,12 @@ from .core import (
     Potential,
     ReducedState,
     SystemParams,
-    Tolerances,
     cot_potential,
-    identical_params,
     table_potential,
 )
 from .equilibria import (
-    Family,
     RightAngleFamily,
+    closed_form_grid,
     solve_general,
     solve_right_angle,
     type1,
@@ -47,7 +43,7 @@ from .equilibria import (
 )
 from .fullspace import full_integrate, lift_state
 from .reduced import integrate
-from .stability import linearize, stability_csv, stability_rows
+from .stability import stability_csv, stability_rows
 
 
 class ConfigError(MagsphereError):
@@ -100,7 +96,6 @@ class RunConfig:
     tol: float = DEFAULT_TOL.record_residual
     out: Optional[str] = None
     format: str = "csv"
-    workers: int = 0                     # 0 = number of cores
     diagram: str = "threshold"
     family: str = "all"
     m1: float = 0.0
@@ -216,35 +211,14 @@ def cmd_equilibria(config: RunConfig) -> int:
     return 0
 
 
-def _stability_cell(args) -> list:
-    q, B, family = args
-    params = identical_params(B)
-    V = cot_potential(params)
-    recs = []
-    if family in ("all", "type1") and abs(q - np.pi / 2) > 1e-4:
-        recs += list(type1(q, B))
-    if family in ("all", "type2"):
-        recs += type2(q, B)
-    return stability_rows(recs, V)
-
-
 def cmd_stability(config: RunConfig) -> int:
     if not (config.grid_q and config.grid_B):
         raise ConfigError("stability needs --grid-q and --grid-B")
     if not config.params().identical:
         raise ConfigError("grid classification supports identical particles only")
-    cells = [
-        (float(q), float(B), config.family)
-        for q in config.grid_q.axis()
-        for B in config.grid_B.axis()
-    ]
-    workers = config.workers or os.cpu_count() or 1
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_stability_cell, cells, chunksize=16))
-    else:
-        results = [_stability_cell(c) for c in cells]
-    rows = [row for cell in results for row in cell]
+    families = "both" if config.family == "all" else config.family
+    grid = closed_form_grid(config.grid_q.axis(), config.grid_B.axis(), families)
+    rows = stability_rows(grid.records(), cot_potential(config.params()))
     _write(config.out, stability_csv(rows))
     return 0
 
@@ -354,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float)
         p.add_argument("--out")
         p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--workers", type=int)
         p.add_argument("--diagram")
         p.add_argument("--family")
         p.add_argument("--m1", type=float)

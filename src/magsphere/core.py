@@ -75,7 +75,11 @@ class DegeneratePoint(MagsphereError):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Masses, charges and magnetic strength of the two-particle system."""
+    """Masses, charges and magnetic strength of the two-particle system.
+
+    B may also be an array that broadcasts against a batch of states, so
+    that one call of `rhs` or its derivatives covers many field strengths.
+    """
 
     mu1: float
     mu2: float
@@ -198,10 +202,11 @@ def table_potential(q_nodes, v_nodes) -> Potential:
     if np.min(np.abs(dprobe)) < 1e-12 or np.min(dprobe) * np.max(dprobe) <= 0:
         raise DomainError("potential table has vanishing derivative; V'(q) != 0 required")
     d2spline = spline.derivative(2)
+    # [()] makes a scalar of a 0-d result and leaves arrays of states alone
     return Potential(
-        value=lambda q: float(spline(q)),
-        derivative=lambda q: float(dspline(q)),
-        second_derivative=lambda q: float(d2spline(q)),
+        value=lambda q: spline(q)[()],
+        derivative=lambda q: dspline(q)[()],
+        second_derivative=lambda q: d2spline(q)[()],
         name="custom-table",
         analytic=False,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Union
+from typing import List, NamedTuple, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .core import (
 from .reduced import casimir_array, hamiltonian_array, rhs
 
 RIGHT_ANGLE_BAND = 1e-6
+TYPE1_BAND = 1e-4        # grid sweeps skip the side-by-side family this close to pi/2
 
 
 class Family(Enum):
@@ -41,6 +42,11 @@ class Family(Enum):
     TypeII_minus = "TypeII-"
     General = "General"
     RightAngle = "RightAngle"
+
+
+# Closed-form families in the row order of their kernels.
+TYPE1_FAMILIES = (Family.TypeI_plus, Family.TypeI_minus)
+TYPE2_FAMILIES = (Family.TypeII_plus, Family.TypeII_minus)
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,12 @@ class RightAngleFamily:
         return ReducedState(0.0, m2, self.product / m2, np.pi / 2, 0.0)
 
 
+def equilibrium_values(x, params: SystemParams, V: Potential):
+    """H, C and the residual max|rhs| of a state x of shape (5,) or (5, ...)."""
+    residual = np.max(np.abs(rhs(x, params, V)), axis=0)
+    return hamiltonian_array(x, params, V), casimir_array(x, params), residual
+
+
 def make_record(
     family: Family,
     m2: float,
@@ -91,17 +103,20 @@ def make_record(
     degenerate: bool = False,
     tol: Tolerances = DEFAULT_TOL,
 ) -> EquilibriumRecord:
-    state = ReducedState(0.0, float(m2), float(m3), float(q), 0.0)
-    x = state.as_array()
-    res = float(np.max(np.abs(rhs(x, params, V))))
+    x = ReducedState(0.0, float(m2), float(m3), float(q), 0.0).as_array()
+    return _record(family, m2, m3, q, params, *equilibrium_values(x, params, V), degenerate)
+
+
+def _record(family, m2, m3, q, params, H, C, residual, degenerate) -> EquilibriumRecord:
+    """A record of the state (0, m2, m3, q, 0) with its H, C and residual."""
     return EquilibriumRecord(
         family=family,
-        state=state,
+        state=ReducedState(0.0, float(m2), float(m3), float(q), 0.0),
         params=params,
-        H=float(hamiltonian_array(x, params, V)),
-        C=float(casimir_array(x, params)),
-        residual=res,
-        degenerate=degenerate,
+        H=float(H),
+        C=float(C),
+        residual=float(residual),
+        degenerate=bool(degenerate),
     )
 
 
@@ -109,50 +124,164 @@ def make_record(
 # closed forms for identical particles, V = cot
 # ---------------------------------------------------------------------------
 
+class ClosedForms(NamedTuple):
+    """One closed-form family over broadcast (q, B) arrays of shape S.
+
+    m2, m3, H, C and residual have shape (2,) + S: row 0 is the + member,
+    row 1 the - member.  `count` (shape S) is how many members exist: 2, or
+    1 on the isosceles threshold (row 0 only, a double root), or 0 below it.
+    Rows of members that do not exist hold NaN.
+    """
+
+    m2: np.ndarray
+    m3: np.ndarray
+    H: np.ndarray
+    C: np.ndarray
+    residual: np.ndarray
+    count: np.ndarray
+
+
+def _closed_forms(m2, m3, q, B, count) -> ClosedForms:
+    q2 = np.broadcast_to(q, m2.shape)
+    x = np.stack([np.zeros_like(m2), m2, m3, q2, np.zeros_like(m2)])
+    params = identical_params(B)
+    H, C, res = equilibrium_values(x, params, cot_potential(params))
+    return ClosedForms(m2, m3, H, C, res, count)
+
+
 def type2_threshold(q: float) -> float:
     """Field strength above which the isosceles family exists at distance q."""
     return 2.0 * np.sqrt(1.0 / (np.sin(q) * (1.0 - np.cos(q))))
 
 
-def type1(q: float, B: float) -> tuple[EquilibriumRecord, EquilibriumRecord]:
-    """The two closed-form side-by-side equilibria (exchange-related pair)."""
-    if abs(q - np.pi / 2) < RIGHT_ANGLE_BAND:
-        raise NearRightAngle("the side-by-side family does not exist at q = pi/2")
-    params = identical_params(B)
-    V = cot_potential(params)
+def type1_arrays(q, B) -> ClosedForms:
+    """The side-by-side pair over broadcast (q, B) arrays.  The family does
+    not exist at q = pi/2; callers exclude a band around it."""
+    q, B = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(B, dtype=float))
+    sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * q.ndim)
     h = q / 2
     s, c = np.sin(q), np.cos(q)
     tan = s / c
     rad = 4.0 / np.sin(h) + B**2 * (s * tan) ** 2 / np.cos(h)
     root = np.sqrt(rad)
     denom = np.sin(h) - np.sin(3 * h)
-    recs = []
-    for fam, sign in ((Family.TypeI_plus, +1.0), (Family.TypeI_minus, -1.0)):
-        m2 = (2 * B * np.sin(h) ** 3 * s + sign * np.cos(h) ** 1.5 * c * root) / denom
-        m3 = 0.5 * (B * s * tan - sign * np.sqrt(np.cos(h)) * root)
-        recs.append(make_record(fam, m2, m3, q, params, V))
-    return recs[0], recs[1]
+    m2 = (2 * B * np.sin(h) ** 3 * s + sign * np.cos(h) ** 1.5 * c * root) / denom
+    m3 = 0.5 * (B * s * tan - sign * np.sqrt(np.cos(h)) * root)
+    return _closed_forms(m2, m3, q, B, np.full(q.shape, 2))
+
+
+def type2_arrays(q, B, tol: Tolerances = DEFAULT_TOL) -> ClosedForms:
+    """The isosceles pair over broadcast (q, B) arrays.  A discriminant
+    within tol.degenerate of zero is a double root (count 1); below that
+    band the family does not exist (count 0)."""
+    q, B = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(B, dtype=float))
+    sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * q.ndim)
+    h = q / 2
+    disc = B**2 - 2.0 / (np.sin(h) ** 2 * np.sin(q))
+    count = np.where(disc < -tol.degenerate, 0, np.where(np.abs(disc) <= tol.degenerate, 1, 2))
+    root = np.sqrt(np.where(count == 2, disc, 0.0))
+    exists = np.arange(2).reshape(sign.shape) < count
+    m2 = np.where(exists, -2 * np.sin(h) ** 4 / np.sin(q) * (B + sign * root), np.nan)
+    m3 = np.where(exists, np.sin(h) ** 2 * (B + sign * root), np.nan)
+    return _closed_forms(m2, m3, q, B, count)
+
+
+def _records(forms: ClosedForms, families, q: float, B: float) -> List[EquilibriumRecord]:
+    """Records of a one-cell kernel result, in row order."""
+    count = int(forms.count[0])
+    return [
+        _record(
+            fam, forms.m2[i, 0], forms.m3[i, 0], q, identical_params(B),
+            forms.H[i, 0], forms.C[i, 0], forms.residual[i, 0], count == 1,
+        )
+        for i, fam in enumerate(families[:count])
+    ]
+
+
+def type1(q: float, B: float) -> tuple[EquilibriumRecord, EquilibriumRecord]:
+    """The two closed-form side-by-side equilibria (exchange-related pair)."""
+    if abs(q - np.pi / 2) < RIGHT_ANGLE_BAND:
+        raise NearRightAngle("the side-by-side family does not exist at q = pi/2")
+    plus, minus = _records(type1_arrays([q], [B]), TYPE1_FAMILIES, q, B)
+    return plus, minus
 
 
 def type2(q: float, B: float, tol: Tolerances = DEFAULT_TOL) -> List[EquilibriumRecord]:
     """Closed-form isosceles equilibria: 2 above the threshold, 1 on it, 0 below."""
-    params = identical_params(B)
-    V = cot_potential(params)
-    h = q / 2
-    disc = B**2 - 2.0 / (np.sin(h) ** 2 * np.sin(q))
-    if disc < -tol.degenerate:
-        return []
-    if abs(disc) <= tol.degenerate:
-        m2 = -2 * np.sin(h) ** 4 / np.sin(q) * B
-        m3 = np.sin(h) ** 2 * B
-        return [make_record(Family.TypeII_plus, m2, m3, q, params, V, degenerate=True)]
-    root = np.sqrt(disc)
-    out = []
-    for fam, sign in ((Family.TypeII_plus, +1.0), (Family.TypeII_minus, -1.0)):
-        m2 = -2 * np.sin(h) ** 4 / np.sin(q) * (B + sign * root)
-        m3 = np.sin(h) ** 2 * (B + sign * root)
-        out.append(make_record(fam, m2, m3, q, params, V))
-    return out
+    return _records(type2_arrays([q], [B], tol), TYPE2_FAMILIES, q, B)
+
+
+@dataclass(frozen=True)
+class GridEquilibria:
+    """Closed-form equilibria over a (q, B) grid: one entry per record that
+    exists, in cell order (q outer, B inner) and family order within a cell
+    (TypeI+, TypeI-, TypeII+, TypeII-).  All fields have one value per entry."""
+
+    cell: np.ndarray
+    family: np.ndarray        # Family objects
+    q: np.ndarray
+    B: np.ndarray
+    m2: np.ndarray
+    m3: np.ndarray
+    H: np.ndarray
+    C: np.ndarray
+    residual: np.ndarray
+    degenerate: np.ndarray
+
+    def states(self) -> np.ndarray:
+        """The entries' reduced states, shape (5, entries)."""
+        zero = np.zeros_like(self.q)
+        return np.stack([zero, self.m2, self.m3, self.q, zero])
+
+    def records(self) -> List[EquilibriumRecord]:
+        """The entries as records, in entry order."""
+        cols = (self.m2, self.m3, self.q, self.B, self.H, self.C, self.residual, self.degenerate)
+        return [
+            _record(fam, m2, m3, q, identical_params(B), *vals)
+            for fam, m2, m3, q, B, *vals in zip(self.family, *(c.tolist() for c in cols))
+        ]
+
+
+def closed_form_grid(
+    q_axis,
+    B_axis,
+    families: str = "both",
+    tol: Tolerances = DEFAULT_TOL,
+) -> GridEquilibria:
+    """The closed-form records of every cell of q_axis x B_axis, from one
+    kernel call per family.  `families` is "both", "type1" or "type2" (any
+    other value selects none).  Type I is left out within TYPE1_BAND of
+    q = pi/2."""
+    q, B = (a.ravel() for a in np.meshgrid(q_axis, B_axis, indexing="ij"))
+    fams, parts = (), []
+    if families in ("both", "type1"):
+        away = np.abs(q - np.pi / 2) > TYPE1_BAND
+        fams += TYPE1_FAMILIES
+        parts.append(type1_arrays(q, B)._replace(count=np.where(away, 2, 0)))
+    if families in ("both", "type2"):
+        fams += TYPE2_FAMILIES
+        parts.append(type2_arrays(q, B, tol))
+    empty = np.empty((0, q.size))
+
+    def by_cell(rows):
+        """The parts' (2, cells) arrays stacked family after family, cells first."""
+        return np.concatenate(rows or [empty]).T
+
+    cell, row = np.nonzero(by_cell([np.arange(2)[:, None] < f.count for f in parts]))
+    pick = lambda name: by_cell([getattr(f, name) for f in parts])[cell, row]
+    degenerate = by_cell([np.broadcast_to(f.count == 1, f.m2.shape) for f in parts])
+    return GridEquilibria(
+        cell=cell,
+        family=np.array(fams, dtype=object)[row],
+        q=q[cell],
+        B=B[cell],
+        m2=pick("m2"),
+        m3=pick("m3"),
+        H=pick("H"),
+        C=pick("C"),
+        residual=pick("residual"),
+        degenerate=degenerate[cell, row],
+    )
 
 
 def casimir_on_type1(q: float, B: float) -> float:

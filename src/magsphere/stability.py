@@ -3,12 +3,14 @@
 Jacobians and Hessians are obtained by complex-step differentiation of the
 analytic right-hand side and gradients (exact to machine precision for the
 built-in potential); a central-difference fallback covers tabulated
-potentials.  The characteristic polynomial at any equilibrium has the form
-x(-x^4 + a x^2 + b) and the classification is read off the pair (a, b).
+potentials.  Both work on batches of states.  The characteristic polynomial
+at any equilibrium has the form x(-x^4 + a x^2 + b) and the classification
+is read off the pair (a, b).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 from dataclasses import dataclass
 from enum import Enum
@@ -19,6 +21,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     DegeneratePoint,
+    DomainError,
     OutsideDomain,
     Potential,
     ResidualTooLarge,
@@ -43,65 +46,97 @@ class LinearizationReport:
     hessian_signature: tuple[int, int, int]
 
 
-def jacobian_matrix(x, params, V: Potential) -> np.ndarray:
-    """d(rhs)/dx at x; complex step when the potential allows it."""
-    x = np.asarray(x, dtype=float)
-    J = np.empty((5, 5))
-    if V.analytic:
-        h = 1e-200
-        for j in range(5):
-            z = x.astype(complex)
-            z[j] += 1j * h
-            J[:, j] = rhs(z, params, V).imag / h
-    else:
-        d = 1e-6
-        for j in range(5):
-            e = np.zeros(5)
-            e[j] = d
-            J[:, j] = (rhs(x + e, params, V) - rhs(x - e, params, V)) / (2 * d)
-    return J
+def derivative_matrix(f, x, analytic: bool) -> np.ndarray:
+    """df/dx at states x of shape (5, ...), returned with shape (..., 5, 5).
 
-
-def _hessian_of(grad_fn, x, analytic: bool) -> np.ndarray:
+    Complex step (5 calls of f) when f accepts complex input, otherwise
+    central differences (10 calls).  f maps (5, ...) to (5, ...).
+    """
     x = np.asarray(x, dtype=float)
-    H = np.empty((5, 5))
+    last = (*range(1, x.ndim), 0)          # puts the component axis of f(x) last
+    D = np.empty(x.shape[1:] + (5, 5))
     if analytic:
         h = 1e-200
         for j in range(5):
             z = x.astype(complex)
             z[j] += 1j * h
-            H[:, j] = grad_fn(z).imag / h
+            D[..., j] = f(z).imag.transpose(last) / h
     else:
         d = 1e-6
         for j in range(5):
-            e = np.zeros(5)
+            e = np.zeros_like(x)
             e[j] = d
-            H[:, j] = (grad_fn(x + e) - grad_fn(x - e)) / (2 * d)
-    return 0.5 * (H + H.T)
+            D[..., j] = (f(x + e) - f(x - e)).transpose(last) / (2 * d)
+    return D
 
 
-def classify(a: float, b: float, tol: float = 1e-10) -> Classification:
+def jacobian_matrix(x, params, V: Potential) -> np.ndarray:
+    """d(rhs)/dx at states x of shape (5, ...), with shape (..., 5, 5)."""
+    return derivative_matrix(lambda z: rhs(z, params, V), x, V.analytic)
+
+
+def _symmetric_part(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + M.swapaxes(-1, -2))
+
+
+_CLASSES = np.array(
+    [Classification.LinearlyStable, Classification.LinearlyUnstable, Classification.Degenerate],
+    dtype=object,
+)
+
+
+def classify(a, b, tol: float = 1e-10):
     """Stability from the reduced characteristic factor -x^4 + a x^2 + b.
 
     Linear stability needs all four nonzero roots imaginary: a < 0,
     a^2 + 4b > 0 and b < 0.  Anything within tol of a boundary is
-    reported Degenerate rather than forced into a class.
+    reported Degenerate rather than forced into a class.  Scalar (a, b)
+    give one Classification, arrays an object array of them.
     """
+    a, b = np.asarray(a), np.asarray(b)
     disc = a * a + 4 * b
-    if abs(a) <= tol or abs(b) <= tol or abs(disc) <= tol:
-        return Classification.Degenerate
-    if a < 0 and disc > 0 and b < 0:
-        return Classification.LinearlyStable
-    return Classification.LinearlyUnstable
+    degenerate = (np.abs(a) <= tol) | (np.abs(b) <= tol) | (np.abs(disc) <= tol)
+    stable = (a < 0) & (disc > 0) & (b < 0)
+    code = np.where(degenerate, 2, np.where(stable, 0, 1))
+    return _CLASSES[code] if code.ndim else _CLASSES[int(code)]
 
 
-def char_coefficients(J: np.ndarray, zero_tol: float = 1e-12) -> tuple[float, float]:
-    """(a, b) after deflating the guaranteed zero root of the degree-5 poly."""
-    c = np.poly(J)          # [1, c4, c3, c2, c1, c0]
-    # the Casimir forces a root at zero; deflation is division by x
-    a = -float(c[2])
-    b = -float(c[4])
-    return a, b
+def char_coefficients(J: np.ndarray):
+    """(a, b) of x(-x^4 + a x^2 + b), the characteristic polynomial of
+    Jacobians J of shape (..., 5, 5) after deflating the zero root that the
+    Casimir forces.
+
+    The coefficients c1..c4 of det(x - J) = x^5 + c1 x^4 + ... + c5 follow
+    from the power sums p_k = tr J^k by Newton's identities; a = -c2 and
+    b = -c4.  Scalar for one Jacobian, arrays of shape (...) for a batch.
+    """
+    J2 = J @ J
+    Jt, J2t = np.swapaxes(J, -1, -2), np.swapaxes(J2, -1, -2)
+    p1 = np.trace(J, axis1=-2, axis2=-1)
+    p2 = np.trace(J2, axis1=-2, axis2=-1)
+    p3 = np.sum(J2 * Jt, axis=(-2, -1))
+    p4 = np.sum(J2 * J2t, axis=(-2, -1))
+    c1 = -p1
+    c2 = -(c1 * p1 + p2) / 2
+    c3 = -(c2 * p1 + c1 * p2 + p3) / 3
+    c4 = -(c3 * p1 + c2 * p2 + c1 * p3 + p4) / 4
+    if J.ndim == 2:
+        return -float(c2), -float(c4)
+    return -c2, -c4
+
+
+def stability_arrays(x, params, V: Potential, tol: Tolerances = DEFAULT_TOL):
+    """(a, b) and classes at equilibria x of shape (5, ...), from one batched
+    Jacobian.  params.B may be an array broadcasting against x[0]."""
+    a, b = char_coefficients(jacobian_matrix(x, params, V))
+    return a, b, classify(a, b, tol.classify)
+
+
+def _check_residual(record: EquilibriumRecord, tol: Tolerances) -> None:
+    if record.residual > tol.record_residual:
+        raise ResidualTooLarge(
+            f"record residual {record.residual} exceeds {tol.record_residual}"
+        )
 
 
 def hessian_signature(
@@ -122,8 +157,10 @@ def hessian_signature(
     gH = grad_hamiltonian(x, params, V)
     gC = grad_casimir(x, params)
     lam = float(gH @ gC) / float(gC @ gC)
-    D2H = _hessian_of(lambda z: grad_hamiltonian(z, params, V), x, V.analytic)
-    D2C = _hessian_of(lambda z: grad_casimir(z, params), x, True)
+    D2H = _symmetric_part(
+        derivative_matrix(lambda z: grad_hamiltonian(z, params, V), x, V.analytic)
+    )
+    D2C = _symmetric_part(derivative_matrix(lambda z: grad_casimir(z, params), x, True))
     M = D2H - lam * D2C
 
     # orthonormal basis of the complement of grad C
@@ -145,10 +182,7 @@ def linearize(
     with_hessian: bool = True,
 ) -> LinearizationReport:
     """Full linear analysis at a residual-checked equilibrium."""
-    if record.residual > tol.record_residual:
-        raise ResidualTooLarge(
-            f"record residual {record.residual} exceeds {tol.record_residual}"
-        )
+    _check_residual(record, tol)
     x = record.state.as_array()
     J = jacobian_matrix(x, record.params, V)
     a, b = char_coefficients(J)
@@ -191,20 +225,42 @@ def stability_rows(
     V: Potential,
     tol: Tolerances = DEFAULT_TOL,
 ) -> List[dict]:
-    rows = []
+    """Rows of `stability_csv`: (a, b) and class of every record from one
+    batched Jacobian, and each record's Hessian signature ((0, 0, 4) where
+    that Hessian is singular).  The records must share masses and charges;
+    B may differ from record to record."""
+    records = list(records)
+    if not records:
+        return []
     for r in records:
-        rep = linearize(r, V, tol)
+        _check_residual(r, tol)
+    first = records[0].params
+    if any(
+        (r.params.mu1, r.params.mu2, r.params.e1, r.params.e2)
+        != (first.mu1, first.mu2, first.e1, first.e2)
+        for r in records
+    ):
+        raise DomainError("stability_rows needs records of one particle system")
+    x = np.array([r.state.as_array() for r in records]).T
+    params = dataclasses.replace(first, B=np.array([r.params.B for r in records]))
+    a, b, classes = stability_arrays(x, params, V, tol)
+    rows = []
+    for r, ai, bi, cls in zip(records, a.tolist(), b.tolist(), classes):
+        try:
+            sig = hessian_signature(r, V, tol)
+        except DegeneratePoint:
+            sig = (0, 0, 4)
         rows.append(
             {
                 "q": r.state.q,
                 "B": r.params.B,
                 "family": r.family.value,
-                "a": rep.char_coeffs[0],
-                "b": rep.char_coeffs[1],
-                "class": rep.classification.value,
-                "n_plus": rep.hessian_signature[0],
-                "n_minus": rep.hessian_signature[1],
-                "n_zero": rep.hessian_signature[2],
+                "a": ai,
+                "b": bi,
+                "class": cls.value,
+                "n_plus": sig[0],
+                "n_minus": sig[1],
+                "n_zero": sig[2],
             }
         )
     return rows

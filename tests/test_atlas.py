@@ -7,6 +7,7 @@ from magsphere import atlas
 from magsphere.core import DomainError, cot_potential, identical_params
 from magsphere.equilibria import type1, type2, type2_threshold
 from magsphere.reduced import casimir_array, rhs
+from magsphere.stability import classify, jacobian_matrix
 
 
 def test_threshold_curve_values():
@@ -223,3 +224,31 @@ def test_stability_grid_shape():
     for cell in grid.cells:
         for family, H, C, cls in cell["entries"]:
             assert cls in ("LinearlyStable", "LinearlyUnstable", "Degenerate")
+
+
+def test_stability_grid_metadata_is_deterministic():
+    """Two identical calls give equal metadata, which holds no wall-clock time."""
+    axes = dict(q_axis=np.linspace(0.5, 2.5, 3), B_axis=np.array([2.5]))
+    first = atlas.stability_grid(**axes).metadata
+    assert "timestamp" not in first
+    assert atlas.stability_grid(**axes).metadata == first
+
+
+@pytest.mark.parametrize("B", [0.5, atlas.B_CRITICAL + 1e-3, 2.5, 7.3, 10.0])
+def test_stability_grid_equals_per_record_loop(B):
+    """The batched grid against the per-record loop it replaced: scalar
+    closed forms, one Jacobian per record and np.poly coefficients."""
+    q_axis = atlas.default_q_axis(120)
+    grid = atlas.stability_grid(q_axis, [B])
+    V = cot_potential(identical_params(B))
+    for q, cell in zip(q_axis, grid.cells):
+        recs = list(type1(q, B)) if abs(q - np.pi / 2) > 1e-4 else []
+        recs += type2(q, B)
+        want = []
+        for r in recs:
+            if r.residual > 1e-9:
+                continue
+            c = np.poly(jacobian_matrix(r.state.as_array(), r.params, V))
+            want.append((r.family.value, r.H, r.C, classify(-c[2], -c[4]).value))
+        assert (cell["q"], cell["B"]) == (q, B)
+        assert cell["entries"] == want, q

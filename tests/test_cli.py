@@ -114,8 +114,7 @@ def test_equilibria_right_angle(tmp_path):
 def test_stability_grid_csv(tmp_path):
     out = tmp_path / "st.csv"
     code = main(
-        ["stability", "--grid-q", "0.5:2.5:4", "--grid-B", "1:4:3",
-         "--workers", "1", "--out", str(out)]
+        ["stability", "--grid-q", "0.5:2.5:4", "--grid-B", "1:4:3", "--out", str(out)]
     )
     assert code == 0
     lines = out.read_text().splitlines()

@@ -16,7 +16,9 @@ from magsphere.equilibria import (
     solve_general,
     solve_right_angle,
     type1,
+    type1_arrays,
     type2,
+    type2_arrays,
     type2_threshold,
 )
 from magsphere.reduced import residual
@@ -166,3 +168,26 @@ def test_record_serialization():
     d = rec.to_dict()
     assert d["family"] == "TypeI+"
     assert set(d) == {"family", "q", "B", "m2", "m3", "H", "C", "residual", "degenerate"}
+
+
+def test_scalar_closed_forms_equal_the_array_kernels():
+    """The scalar records are the kernels' values on a one-cell array, bit
+    for bit, so a grid and a scalar call agree at the residual cut."""
+    qs = np.linspace(0.1, np.pi - 0.1, 31)
+    qs = qs[np.abs(qs - np.pi / 2) > 1e-3]
+    q, B = (a.ravel() for a in np.meshgrid(qs, np.linspace(0.2, 9.0, 23), indexing="ij"))
+    # points on the isosceles threshold (count 1) and just below it (count 0)
+    q = np.concatenate([q, qs, qs])
+    B = np.concatenate([B, [type2_threshold(x) for x in qs], [0.9 * type2_threshold(x) for x in qs]])
+    one, two = type1_arrays(q, B), type2_arrays(q, B)
+    assert np.sum(two.count[-2 * len(qs):-len(qs)] == 1) > len(qs) // 2
+    assert set(two.count[-len(qs):]) == {0}
+    for i in range(len(q)):
+        for forms, recs in ((one, type1(q[i], B[i])), (two, type2(q[i], B[i]))):
+            assert len(recs) == forms.count[i]
+            for row, rec in enumerate(recs):
+                got = (rec.state.m2, rec.state.m3, rec.H, rec.C, rec.residual)
+                want = tuple(float(getattr(forms, k)[row, i]) for k in ("m2", "m3", "H", "C", "residual"))
+                assert got == want, (q[i], B[i], rec.family)
+                assert rec.degenerate == (forms.count[i] == 1)
+        assert np.all(np.isnan(two.m2[two.count[i]:, i]))

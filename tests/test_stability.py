@@ -1,11 +1,28 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from magsphere.core import OutsideDomain, ResidualTooLarge, cot_potential, identical_params
-from magsphere.equilibria import EquilibriumRecord, Family, type1, type2, type2_threshold
+from magsphere.core import (
+    DomainError,
+    OutsideDomain,
+    ResidualTooLarge,
+    cot_potential,
+    identical_params,
+    table_potential,
+)
+from magsphere.equilibria import (
+    EquilibriumRecord,
+    Family,
+    closed_form_grid,
+    type1,
+    type2,
+    type2_threshold,
+)
 from magsphere.reduced import grad_casimir, rhs
 from magsphere.stability import (
     Classification,
+    char_coefficients,
     classify,
     hessian_signature,
     jacobian_matrix,
@@ -27,6 +44,14 @@ def test_classify_table():
     assert classify(-1.0, -0.2) is Classification.LinearlyStable
 
 
+def test_classify_arrays_match_scalar_calls():
+    a = np.array([-2.0, 1.0, -2.0, -2.0, -1.0, -1.0, -1.0, np.nan])
+    b = np.array([-0.5, -0.5, 0.0, 0.5, -0.3, -0.25, -0.2, -1.0])
+    got = classify(a, b)
+    assert got.shape == a.shape
+    assert list(got) == [classify(x, y) for x, y in zip(a, b)]
+
+
 def test_jacobian_matches_finite_differences(rng):
     params = identical_params(2.5)
     V = cot_potential(params)
@@ -39,6 +64,32 @@ def test_jacobian_matches_finite_differences(rng):
             e[j] = d
             col = (rhs(x + e, params, V) - rhs(x - e, params, V)) / (2 * d)
             assert np.max(np.abs(J[:, j] - col)) < 1e-6
+
+
+def test_batched_jacobian_matches_single_states(rng):
+    params = identical_params(2.5)
+    x = np.concatenate([rng.uniform(-1, 1, (3, 12)), rng.uniform(0.5, 2.6, (1, 12)),
+                        rng.uniform(-1, 1, (1, 12))])
+    J = jacobian_matrix(x.reshape(5, 3, 4), params, cot_potential(params))
+    assert J.shape == (3, 4, 5, 5)
+    for k in range(12):
+        single = jacobian_matrix(x[:, k], params, cot_potential(params))
+        np.testing.assert_allclose(J.reshape(12, 5, 5)[k], single, rtol=1e-14, atol=1e-14)
+
+
+def test_char_coefficients_match_np_poly_on_acceptance_grid():
+    """Newton's identities on tr J^k against the np.poly expansion, over the
+    Jacobians of every closed-form record of the acceptance grid."""
+    grid = closed_form_grid(np.linspace(0.2, np.pi - 0.2, 50), np.linspace(0.1, 5.0, 50))
+    keep = grid.residual <= 1e-9
+    params = identical_params(grid.B[keep])
+    J = jacobian_matrix(grid.states()[:, keep], params, cot_potential(params))
+    assert len(J) > 5000
+    a, b = char_coefficients(J)
+    for k in range(len(J)):
+        c = np.poly(J[k])
+        assert a[k] == pytest.approx(-c[2], rel=1e-10)
+        assert b[k] == pytest.approx(-c[4], rel=1e-10)
 
 
 def test_linearize_spectrum_structure(params, V):
@@ -158,6 +209,31 @@ def test_stability_csv_schema(params, V):
     header, line = text.splitlines()
     assert header == "q,B,family,a,b,class,n_plus,n_minus,n_zero"
     assert line.split(",")[2] == "TypeI+"
+
+
+@pytest.mark.parametrize("table", [False, True])
+def test_stability_rows_equal_per_record_linearize(table):
+    """Batched rows against one linearize call per record, for the
+    complex-step (cot) and central-difference (table) derivatives."""
+    V = cot_potential(identical_params(1.0))
+    if table:
+        nodes = np.linspace(0.1, np.pi - 0.1, 400)
+        V = table_potential(nodes, 1 / np.tan(nodes))
+    recs = [r for q, B in ((0.7, 1.0), (1.2, 2.5), (2.0, 2.5), (2.6, 4.0))
+            for r in list(type1(q, B)) + type2(q, B)]
+    rows = stability_rows(recs, V)
+    assert len(rows) == len(recs) > 8
+    for r, row in zip(recs, rows):
+        rep = linearize(r, V)
+        assert (row["q"], row["B"], row["family"]) == (r.state.q, r.params.B, r.family.value)
+        assert row["a"] == pytest.approx(rep.char_coeffs[0], rel=1e-9)
+        assert row["b"] == pytest.approx(rep.char_coeffs[1], rel=1e-9)
+        assert row["class"] == rep.classification.value
+        assert (row["n_plus"], row["n_minus"], row["n_zero"]) == rep.hessian_signature
+    other = type1(0.7, 1.0)[0]
+    other = dataclasses.replace(other, params=dataclasses.replace(other.params, mu1=2.0))
+    with pytest.raises(DomainError):
+        stability_rows([recs[0], other], V)
 
 
 def test_type2_boundaries_emanate_from_degenerate_point():
