@@ -30,6 +30,7 @@ from .core import (
     Potential,
     ReducedState,
     SystemParams,
+    Tolerances,
     cot_potential,
     table_potential,
 )
@@ -107,6 +108,10 @@ class RunConfig:
     def params(self) -> SystemParams:
         return SystemParams(self.mu1, self.mu2, self.e1, self.e2, self.B)
 
+    def tolerances(self) -> Tolerances:
+        """The default tolerances with `tol` as the record residual cut."""
+        return dataclasses.replace(DEFAULT_TOL, record_residual=self.tol)
+
     def make_potential(self) -> Potential:
         if self.potential == "cot":
             return cot_potential(self.params())
@@ -182,7 +187,7 @@ def _records_at(q: float, config: RunConfig, params: SystemParams, V: Potential)
         if config.family in ("all", "type2"):
             recs += type2(q, params.B)
     elif abs(q - np.pi / 2) > 1e-4:
-        recs += solve_general(q, params, V)
+        recs += solve_general(q, params, V, config.tolerances())
     return recs
 
 
@@ -217,8 +222,15 @@ def cmd_stability(config: RunConfig) -> int:
     if not config.params().identical:
         raise ConfigError("grid classification supports identical particles only")
     families = "both" if config.family == "all" else config.family
-    grid = closed_form_grid(config.grid_q.axis(), config.grid_B.axis(), families)
-    rows = stability_rows(grid.records(), cot_potential(config.params()))
+    tol = config.tolerances()
+    grid = closed_form_grid(config.grid_q.axis(), config.grid_B.axis(), families, tol)
+    # the residual cut of atlas.stability_grid: such records are dropped, not fatal
+    records = [r for r in grid.records() if not r.residual > tol.record_residual]
+    sys.stderr.write(
+        f"dropped {grid.residual.size - len(records)} records with residual above "
+        f"{tol.record_residual:g}\n"
+    )
+    rows = stability_rows(records, cot_potential(config.params()), tol)
     _write(config.out, stability_csv(rows))
     return 0
 

@@ -133,6 +133,60 @@ def check_q(q: float, eps: float = Q_EDGE) -> None:
         raise DomainError(f"q={q} outside guarded interval [{eps}, pi - {eps}]")
 
 
+# How far t_end/dt may sit from a whole number of steps, relative to it.
+STEP_COUNT_TOL = 1e-9
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """Number of fixed steps of size dt that reach t_end.
+
+    Raises DomainError unless both are positive and t_end/dt is a whole
+    number to within STEP_COUNT_TOL relative: a remainder is not rounded
+    away in silence.
+    """
+    if dt <= 0 or t_end <= 0:
+        raise DomainError("dt and t_end must be positive")
+    ratio = t_end / dt
+    n = round(ratio)
+    if n < 1 or abs(ratio - n) > STEP_COUNT_TOL * ratio:
+        raise DomainError(f"t_end={t_end} is not a whole number of steps dt={dt}")
+    return n
+
+
+def rk4(f, x0, dt: float, n_steps: int, project=None, guard=None) -> np.ndarray:
+    """Classical fixed-step RK4 for x' = f(x); returns the states, shape
+    (n_steps + 1,) + x0.shape, starting with x0.
+
+    `project`, if given, maps each stage input and each new state back onto
+    the constraint set (projection method, Hairer-Lubich-Wanner IV.4).  Each
+    new state is checked for finiteness (NonFiniteState) and then handed to
+    `guard(x, t)`, which raises if x has left the caller's domain.
+    """
+    x = np.asarray(x0, dtype=float)
+    states = np.empty((n_steps + 1,) + x.shape)
+    states[0] = x
+    if project is None:
+        project = _identity
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for i in range(1, n_steps + 1):
+        k1 = f(x)
+        k2 = f(project(x + half * k1))
+        k3 = f(project(x + half * k2))
+        k4 = f(project(x + dt * k3))
+        x = project(x + sixth * (k1 + 2 * k2 + 2 * k3 + k4))
+        if not np.isfinite(x).all():
+            raise NonFiniteState(f"non-finite state at t={i * dt}")
+        if guard is not None:
+            guard(x, i * dt)
+        states[i] = x
+    return states
+
+
+def _identity(x):
+    return x
+
+
 @dataclass(frozen=True)
 class BodyFrameVelocity:
     """Body-frame angular velocity plus the rate of change of q."""

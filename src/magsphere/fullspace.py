@@ -9,7 +9,6 @@ e * B * (v x x).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,8 @@ from .core import (
     SystemParams,
     body_velocity_to_reduced,
     reduced_to_body_velocity,
+    rk4,
+    step_count,
 )
 
 _UNIT_TOL = 1e-10
@@ -64,63 +65,82 @@ class MomentumValue:
     phi: np.ndarray
 
 
-def geodesic_distance(q1, q2) -> float:
-    return float(np.arctan2(np.linalg.norm(np.cross(q1, q2)), float(np.dot(q1, q2))))
+def geodesic_distance(q1, q2):
+    """Angle between two position vectors; q1 and q2 may carry a trailing
+    batch axis."""
+    ax, ay, az = q1
+    bx, by, bz = q2
+    cx, cy, cz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    return np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), ax * bx + ay * by + az * bz)
+
+
+def momentum_map_array(y, params: SystemParams):
+    """Conserved momentum -B (e1 q1 + e2 q2) + q1 x p1 + q2 x p2 of a full
+    state array, shape (12,) or (12, ...); returns shape (3,) or (3, ...)."""
+    q1x, q1y, q1z, q2x, q2y, q2z, p1x, p1y, p1z, p2x, p2y, p2z = y
+    b1, b2 = params.B * params.e1, params.B * params.e2
+    return np.array(
+        [
+            -(b1 * q1x + b2 * q2x) + (q1y * p1z - q1z * p1y) + (q2y * p2z - q2z * p2y),
+            -(b1 * q1y + b2 * q2y) + (q1z * p1x - q1x * p1z) + (q2z * p2x - q2x * p2z),
+            -(b1 * q1z + b2 * q2z) + (q1x * p1y - q1y * p1x) + (q2x * p2y - q2y * p2x),
+        ]
+    )
 
 
 def momentum_map(state: FullState, params: SystemParams) -> MomentumValue:
-    phi = (
-        -params.B * (params.e1 * state.q1 + params.e2 * state.q2)
-        + np.cross(state.q1, state.p1)
-        + np.cross(state.q2, state.p2)
-    )
-    return MomentumValue(phi)
-
-
-def _momentum_map_array(y, params: SystemParams):
-    q1, q2, p1, p2 = y[0:3], y[3:6], y[6:9], y[9:12]
-    return -params.B * (params.e1 * q1 + params.e2 * q2) + np.cross(q1, p1) + np.cross(q2, p2)
+    return MomentumValue(momentum_map_array(state.as_array(), params))
 
 
 def full_rhs(y, params: SystemParams, V: Potential):
-    """Newtonian equations with Lorentz, inter-particle and constraint forces."""
-    q1, q2, p1, p2 = y[0:3], y[3:6], y[6:9], y[9:12]
+    """Newtonian equations with Lorentz, inter-particle and constraint forces.
+
+    y is (12,) or (12, ...): positions q1, q2, then momenta p1, p2.
+    """
+    q1x, q1y, q1z, q2x, q2y, q2z, p1x, p1y, p1z, p2x, p2y, p2z = y
     mu1, mu2, e1, e2, B = params.mu1, params.mu2, params.e1, params.e2, params.B
-    v1 = p1 / mu1
-    v2 = p2 / mu2
+    v1x, v1y, v1z = p1x / mu1, p1y / mu1, p1z / mu1
+    v2x, v2y, v2z = p2x / mu2, p2y / mu2, p2z / mu2
 
-    q = geodesic_distance(q1, q2)
-    dV = V.derivative(q)
-    sin_q = np.sin(q)
-    # tangential gradient of the geodesic distance at each particle
-    f1 = dV * (q2 - np.cos(q) * q1) / sin_q
-    f2 = dV * (q1 - np.cos(q) * q2) / sin_q
+    q = geodesic_distance((q1x, q1y, q1z), (q2x, q2y, q2z))
+    cos_q = np.cos(q)
+    # tangential gradient of the geodesic distance at each particle, times V'
+    g = V.derivative(q) / np.sin(q)
 
-    lorentz1 = e1 * B * np.cross(v1, q1)
-    lorentz2 = e2 * B * np.cross(v2, q2)
-
-    # Lagrange multipliers: keep q_i . v_i = 0 given |q_i| = 1
-    lam1 = -mu1 * (v1 @ v1)
-    lam2 = -mu2 * (v2 @ v2)
-
-    dp1 = f1 + lorentz1 + lam1 * q1
-    dp2 = f2 + lorentz2 + lam2 * q2
-    return np.concatenate([v1, v2, dp1, dp2])
-
-
-def full_vector_field(state: FullState, params: SystemParams, V: Potential) -> np.ndarray:
-    return full_rhs(state.as_array(), params, V)
+    # Lorentz force e B (v x q); Lagrange multipliers keep q_i . v_i = 0
+    b1, b2 = e1 * B, e2 * B
+    lam1 = -mu1 * (v1x * v1x + v1y * v1y + v1z * v1z)
+    lam2 = -mu2 * (v2x * v2x + v2y * v2y + v2z * v2z)
+    return np.array(
+        [
+            v1x, v1y, v1z,
+            v2x, v2y, v2z,
+            g * (q2x - cos_q * q1x) + b1 * (v1y * q1z - v1z * q1y) + lam1 * q1x,
+            g * (q2y - cos_q * q1y) + b1 * (v1z * q1x - v1x * q1z) + lam1 * q1y,
+            g * (q2z - cos_q * q1z) + b1 * (v1x * q1y - v1y * q1x) + lam1 * q1z,
+            g * (q1x - cos_q * q2x) + b2 * (v2y * q2z - v2z * q2y) + lam2 * q2x,
+            g * (q1y - cos_q * q2y) + b2 * (v2z * q2x - v2x * q2z) + lam2 * q2y,
+            g * (q1z - cos_q * q2z) + b2 * (v2x * q2y - v2y * q2x) + lam2 * q2z,
+        ]
+    )
 
 
 def _project(y):
-    """Renormalize positions and remove normal momentum components."""
-    out = y.copy()
-    for qi, pi in ((0, 6), (3, 9)):
-        q = out[qi : qi + 3]
-        q /= np.linalg.norm(q)
-        p = out[pi : pi + 3]
-        p -= (p @ q) * q
-    return out
+    """Renormalize positions and remove normal momentum components.
+
+    y holds the positions of k particles followed by their momenta (6k
+    components, possibly with a trailing batch axis)."""
+    c = list(y)
+    n = len(c) // 2
+    for i in range(0, n, 3):
+        qx, qy, qz = c[i : i + 3]
+        px, py, pz = c[n + i : n + i + 3]
+        r = np.sqrt(qx * qx + qy * qy + qz * qz)
+        qx, qy, qz = qx / r, qy / r, qz / r
+        d = px * qx + py * qy + pz * qz
+        c[i : i + 3] = qx, qy, qz
+        c[n + i : n + i + 3] = px - d * qx, py - d * qy, pz - d * qz
+    return np.array(c)
 
 
 @dataclass(frozen=True)
@@ -135,12 +155,17 @@ class FullTrajectory:
         return np.max(np.abs(self.phi - self.phi[0]), axis=1)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
         cols = [f"{v}{i}{a}" for v in ("q", "p") for i in (1, 2) for a in "xyz"]
-        buf.write("t," + ",".join(cols) + ",phix,phiy,phiz\n")
-        for t, y, f in zip(self.times, self.states, self.phi):
-            buf.write(",".join(f"{v:.15g}" for v in [t, *y, *f]) + "\n")
-        return buf.getvalue()
+        table = np.column_stack([self.times, self.states, self.phi])
+        row = ",".join(["%.15g"] * table.shape[1]) + "\n"
+        header = "t," + ",".join(cols) + ",phix,phiy,phiz\n"
+        return header + "".join(row % tuple(r) for r in table.tolist())
+
+
+def _distance_guard(y, t: float) -> None:
+    q = geodesic_distance(y[0:3], y[3:6])
+    if not (Q_EDGE <= q <= np.pi - Q_EDGE):
+        raise CollisionApproach(f"geodesic distance {q} left guarded domain at t={t}")
 
 
 def full_integrate(
@@ -150,35 +175,18 @@ def full_integrate(
     t_end: float,
     dt: float,
 ) -> FullTrajectory:
-    """RK4 with per-step projection onto the sphere and its tangent planes."""
-    if dt <= 0 or t_end <= 0:
-        raise DomainError("dt and t_end must be positive")
-    n_steps = int(round(t_end / dt))
-    y = initial.as_array()
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, 12))
-    phi = np.empty((n_steps + 1, 3))
-
-    def record(i, t, yi):
-        times[i] = t
-        states[i] = yi
-        phi[i] = _momentum_map_array(yi, params)
-
-    record(0, 0.0, y)
-    for i in range(1, n_steps + 1):
-        k1 = full_rhs(y, params, V)
-        k2 = full_rhs(_project(y + 0.5 * dt * k1), params, V)
-        k3 = full_rhs(_project(y + 0.5 * dt * k2), params, V)
-        k4 = full_rhs(_project(y + dt * k3), params, V)
-        y = _project(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteState(f"non-finite full state at t={i * dt}")
-        q = geodesic_distance(y[0:3], y[3:6])
-        if not (Q_EDGE <= q <= np.pi - Q_EDGE):
-            raise CollisionApproach(f"geodesic distance {q} left guarded domain at t={i * dt}")
-        record(i, i * dt, y)
-
-    return FullTrajectory(times, states, phi, params)
+    """RK4 (`core.rk4`) with projection of every stage and step onto the
+    sphere and its tangent planes; the momentum map is taken on the stored
+    trajectory.  Raises DomainError unless t_end is a whole number of steps
+    dt, CollisionApproach if the particles come within Q_EDGE of collision
+    or of antipodal placement, and NonFiniteState on numeric blow-up."""
+    n_steps = step_count(t_end, dt)
+    # full_rhs is looked up at call time, so a wrapper bound in its place sees every call
+    states = rk4(
+        lambda y: full_rhs(y, params, V), initial.as_array(), dt, n_steps, _project, _distance_guard
+    )
+    phi = momentum_map_array(states.T, params).T
+    return FullTrajectory(np.arange(n_steps + 1) * dt, states, phi, params)
 
 
 def body_frame(q1, q2) -> np.ndarray:
@@ -247,38 +255,30 @@ def lift_state(state: ReducedState, params: SystemParams) -> FullState:
 
 
 def one_particle_rhs(y, mu: float, e: float, B: float):
-    x, p = y[0:3], y[3:6]
-    v = p / mu
-    dp = e * B * np.cross(v, x) - mu * (v @ v) * x
-    return np.concatenate([v, dp])
+    """Free charged particle: y = (x, p), shape (6,) or (6, ...)."""
+    x1, x2, x3, p1, p2, p3 = y
+    v1, v2, v3 = p1 / mu, p2 / mu, p3 / mu
+    eB = e * B
+    lam = -mu * (v1 * v1 + v2 * v2 + v3 * v3)
+    return np.array(
+        [
+            v1, v2, v3,
+            eB * (v2 * x3 - v3 * x2) + lam * x1,
+            eB * (v3 * x1 - v1 * x3) + lam * x2,
+            eB * (v1 * x2 - v2 * x1) + lam * x3,
+        ]
+    )
 
 
 def one_particle_integrate(x0, v0, mu: float, e: float, B: float, t_end: float, dt: float):
-    """Free charged particle on the sphere; returns (times, states(n, 6))."""
+    """Free charged particle on the sphere; returns (times, states(n, 6)).
+    Raises DomainError unless t_end is a whole number of steps dt."""
+    n_steps = step_count(t_end, dt)
     x0 = np.asarray(x0, dtype=float)
-    x0 = x0 / np.linalg.norm(x0)
     v0 = np.asarray(v0, dtype=float)
-    v0 = v0 - (v0 @ x0) * x0
-    y = np.concatenate([x0, mu * v0])
-    n_steps = int(round(t_end / dt))
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, 6))
-    times[0], states[0] = 0.0, y
-
-    def proj(z):
-        out = z.copy()
-        out[0:3] /= np.linalg.norm(out[0:3])
-        out[3:6] -= (out[3:6] @ out[0:3]) * out[0:3]
-        return out
-
-    for i in range(1, n_steps + 1):
-        k1 = one_particle_rhs(y, mu, e, B)
-        k2 = one_particle_rhs(proj(y + 0.5 * dt * k1), mu, e, B)
-        k3 = one_particle_rhs(proj(y + 0.5 * dt * k2), mu, e, B)
-        k4 = one_particle_rhs(proj(y + dt * k3), mu, e, B)
-        y = proj(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-        times[i], states[i] = i * dt, y
-    return times, states
+    y0 = _project(np.concatenate([x0, mu * v0]))
+    states = rk4(lambda y: one_particle_rhs(y, mu, e, B), y0, dt, n_steps, _project)
+    return np.arange(n_steps + 1) * dt, states
 
 
 def circle_radius(states, mu: float, e: float, B: float) -> float:

@@ -7,20 +7,18 @@ test pins the identity rhs = sigma . grad(H).
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     CollisionApproach,
-    DomainError,
-    NonFiniteState,
     Potential,
     Q_EDGE,
     ReducedState,
     SystemParams,
+    rk4,
+    step_count,
 )
 
 
@@ -31,13 +29,17 @@ def hamiltonian(state: ReducedState, params: SystemParams, V: Potential) -> floa
 def hamiltonian_array(x, params: SystemParams, V: Potential):
     mu1, mu2 = params.mu1, params.mu2
     m1, m2, m3, q, p = x
-    cot = np.cos(q) / np.sin(q)
-    csc2 = 1.0 / np.sin(q) ** 2
+    # squares as products: numpy's scalar ** calls pow(), which can differ
+    # from the array square by 1 ulp, and one state must give the same
+    # value alone as in a batch
+    s = np.sin(q)
+    cot = np.cos(q) / s
+    csc2 = 1.0 / (s * s)
     kinetic = (
-        mu2 * ((m1 - p) ** 2 + m2**2)
-        + m3 * (-2 * mu2 * m2 * cot + mu1 * m3 * csc2 + mu2 * m3 * cot**2)
+        mu2 * ((m1 - p) * (m1 - p) + m2 * m2)
+        + m3 * (-2 * mu2 * m2 * cot + mu1 * m3 * csc2 + mu2 * m3 * (cot * cot))
     ) / (2 * mu1 * mu2)
-    return kinetic + p**2 / (2 * mu2) + V.value(q)
+    return kinetic + p * p / (2 * mu2) + V.value(q)
 
 
 def grad_hamiltonian(x, params: SystemParams, V: Potential):
@@ -62,11 +64,9 @@ def casimir(state: ReducedState, params: SystemParams) -> float:
 def casimir_array(x, params: SystemParams):
     m1, m2, m3, q, p = x
     B, e1, e2 = params.B, params.e1, params.e2
-    return (
-        m1**2
-        + (m2 - B * e2 * np.sin(q)) ** 2
-        + (m3 + B * (e1 + e2 * np.cos(q))) ** 2
-    )
+    u = m2 - B * e2 * np.sin(q)
+    w = m3 + B * (e1 + e2 * np.cos(q))
+    return m1 * m1 + u * u + w * w
 
 
 def grad_casimir(x, params: SystemParams):
@@ -182,32 +182,28 @@ class Trajectory:
         return ReducedState.from_array(self.states[-1])
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,m1,m2,m3,q,p,H,C\n")
-        for t, x, h, c in zip(self.times, self.states, self.energy, self.casimir):
-            row = [t, *x, h, c]
-            buf.write(",".join(f"{v:.15g}" for v in row) + "\n")
-        return buf.getvalue()
+        table = np.column_stack([self.times, self.states, self.energy, self.casimir])
+        row = ",".join(["%.15g"] * table.shape[1]) + "\n"
+        return "t,m1,m2,m3,q,p,H,C\n" + "".join(row % tuple(r) for r in table.tolist())
 
 
 def _casimir_projection(x, params: SystemParams, c_target: float):
     """Rescale the shifted momentum vector back onto the Casimir sphere."""
     m1, m2, m3, q, p = x
     B, e1, e2 = params.B, params.e1, params.e2
-    v = np.array([m1, m2 - B * e2 * np.sin(q), m3 + B * (e1 + e2 * np.cos(q))])
-    norm = np.linalg.norm(v)
+    shift2 = B * e2 * np.sin(q)
+    shift3 = B * (e1 + e2 * np.cos(q))
+    v1, v2, v3 = m1, m2 - shift2, m3 + shift3
+    norm = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
     if norm == 0:
         return x
-    v *= np.sqrt(c_target) / norm
-    return np.array(
-        [
-            v[0],
-            v[1] + B * e2 * np.sin(q),
-            v[2] - B * (e1 + e2 * np.cos(q)),
-            q,
-            p,
-        ]
-    )
+    k = np.sqrt(c_target) / norm
+    return np.array([v1 * k, v2 * k + shift2, v3 * k - shift3, q, p])
+
+
+def _q_guard(x, t: float) -> None:
+    if not (Q_EDGE <= x[3] <= np.pi - Q_EDGE):
+        raise CollisionApproach(f"q={x[3]} left the guarded domain at t={t}")
 
 
 def integrate(
@@ -218,42 +214,27 @@ def integrate(
     dt: float,
     project_casimir: bool = False,
 ) -> Trajectory:
-    """Classical fixed-step RK4 on the reduced equations.
+    """Classical fixed-step RK4 (`core.rk4`) on the reduced equations.
 
-    Drift in H and C is monitored, not enforced, unless `project_casimir`
-    is set (useful for long runs).  Raises CollisionApproach if q leaves
-    the guarded interval and NonFiniteState on numeric blow-up.
+    H and C are taken on the stored trajectory and monitored, not enforced,
+    unless `project_casimir` is set (useful for long runs): then every stage
+    and step is mapped back onto the initial Casimir level.  Raises
+    DomainError unless t_end is a whole number of steps dt, CollisionApproach
+    if q leaves the guarded interval and NonFiniteState on numeric blow-up.
     """
-    if dt <= 0 or t_end <= 0:
-        raise DomainError("dt and t_end must be positive")
-    n_steps = int(round(t_end / dt))
-    x = initial.as_array()
-    c0 = casimir_array(x, params)
-
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, 5))
-    energy = np.empty(n_steps + 1)
-    cas = np.empty(n_steps + 1)
-
-    def record(i, t, xi):
-        times[i] = t
-        states[i] = xi
-        energy[i] = hamiltonian_array(xi, params, V)
-        cas[i] = casimir_array(xi, params)
-
-    record(0, 0.0, x)
-    for i in range(1, n_steps + 1):
-        k1 = rhs(x, params, V)
-        k2 = rhs(x + 0.5 * dt * k1, params, V)
-        k3 = rhs(x + 0.5 * dt * k2, params, V)
-        k4 = rhs(x + dt * k3, params, V)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState(f"non-finite state at t={i * dt}")
-        if not (Q_EDGE <= x[3] <= np.pi - Q_EDGE):
-            raise CollisionApproach(f"q={x[3]} left the guarded domain at t={i * dt}")
-        if project_casimir:
-            x = _casimir_projection(x, params, c0)
-        record(i, i * dt, x)
-
-    return Trajectory(times, states, energy, cas, params, V.name)
+    n_steps = step_count(t_end, dt)
+    x0 = initial.as_array()
+    project = None
+    if project_casimir:
+        c0 = casimir_array(x0, params)
+        project = lambda x: _casimir_projection(x, params, c0)
+    # rhs is looked up at call time, so a wrapper bound in its place sees every call
+    states = rk4(lambda x: rhs(x, params, V), x0, dt, n_steps, project, _q_guard)
+    return Trajectory(
+        np.arange(n_steps + 1) * dt,
+        states,
+        hamiltonian_array(states.T, params, V),
+        casimir_array(states.T, params),
+        params,
+        V.name,
+    )

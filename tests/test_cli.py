@@ -177,3 +177,42 @@ def test_reconstruct_writes_full_trajectory(tmp_path):
     assert code == 0
     header = out.read_text().splitlines()[0]
     assert header.startswith("t,q1x") and header.endswith("phiz")
+
+
+# A 2 x 2 grid with one Type II+ record (q near pi, B = 9.19) whose residual,
+# 1.9e-9, lies just above the default record cut of 1e-9.
+CUT_GRID = ["--grid-q", "3.0:3.0936503774313264:2", "--grid-B", "9.0:9.188910385279419:2"]
+
+
+def test_stability_drops_records_above_the_residual_cut(tmp_path, capsys):
+    out = tmp_path / "st.csv"
+    assert main(["stability", *CUT_GRID, "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 15
+    assert not any(r.startswith("3.09365037743133,9.18891038527942,TypeII+,") for r in rows)
+    assert "dropped 1 records" in capsys.readouterr().err
+
+
+def test_stability_tol_sets_the_residual_cut(tmp_path, capsys):
+    out = tmp_path / "st.csv"
+    assert main(["stability", *CUT_GRID, "--tol", "1e-5", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 16
+    kept = [r for r in rows if r.startswith("3.09365037743133,9.18891038527942,TypeII+,")]
+    assert len(kept) == 1 and kept[0].split(",")[5] == "LinearlyStable"
+    assert "dropped 0 records" in capsys.readouterr().err
+
+
+def test_equilibria_tol_sets_the_residual_cut(tmp_path):
+    """solve_general keeps a record only below the cut; a cut at the largest
+    default residual drops exactly the records at that residual."""
+    out = tmp_path / "eq.json"
+    args = ["equilibria", "--mu1", "1.3", "--mu2", "0.7", "--e2", "-2", "--B", "0.9",
+            "--q", "1.2", "--out", str(out)]
+    assert main(args) == 0
+    records = json.loads(out.read_text())
+    cut = max(r["residual"] for r in records)
+    expected = [r for r in records if r["residual"] < cut]
+    assert expected and len(expected) < len(records)
+    assert main(args + ["--tol", repr(cut)]) == 0
+    assert json.loads(out.read_text()) == expected

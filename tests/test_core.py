@@ -82,3 +82,14 @@ def test_legendre_roundtrip(rng):
             [vel.omega1, vel.omega2, vel.omega3, vel.qdot],
             atol=1e-12,
         )
+
+
+def test_step_count_takes_whole_numbers_of_steps():
+    from magsphere.core import step_count
+
+    assert step_count(10.0, 1e-3) == 10000
+    assert step_count(0.3, 0.1) == 3          # 0.3 / 0.1 = 2.9999999999999996
+    assert step_count(0.05, 1e-2) == 5
+    for t_end, dt in ((0.1005, 1e-2), (1.0, 0.3), (1e-3, 1e-2), (1.0, 0.0), (-1.0, 0.1)):
+        with pytest.raises(DomainError):
+            step_count(t_end, dt)

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from magsphere.core import (
+    CollisionApproach,
     DegenerateConfiguration,
     DomainError,
+    NonFiniteState,
+    Potential,
     ReducedState,
     SystemParams,
     cot_potential,
@@ -18,9 +21,12 @@ from magsphere.fullspace import (
     geodesic_distance,
     lift_state,
     momentum_map,
+    momentum_map_array,
     one_particle_integrate,
+    one_particle_rhs,
     circle_radius,
     reduce_state,
+    _project,
 )
 from magsphere.reduced import casimir, integrate
 
@@ -131,3 +137,132 @@ def test_full_csv_header(params, V):
     traj = full_integrate(lift_state(s, params), params, V, t_end=0.05, dt=1e-2)
     header = traj.to_csv().splitlines()[0]
     assert header.startswith("t,q1x,q1y,q1z,q2x") and header.endswith("phix,phiy,phiz")
+
+
+# ---------------------------------------------------------------------------
+# component-wise kernels against the np.cross / np.linalg.norm formulas they
+# replaced, kept here as the reference
+# ---------------------------------------------------------------------------
+
+def _ref_geodesic_distance(q1, q2):
+    return np.arctan2(np.linalg.norm(np.cross(q1, q2)), np.dot(q1, q2))
+
+
+def _ref_momentum_map(y, params):
+    q1, q2, p1, p2 = y[0:3], y[3:6], y[6:9], y[9:12]
+    return -params.B * (params.e1 * q1 + params.e2 * q2) + np.cross(q1, p1) + np.cross(q2, p2)
+
+
+def _ref_full_rhs(y, params, V):
+    q1, q2, p1, p2 = y[0:3], y[3:6], y[6:9], y[9:12]
+    mu1, mu2, e1, e2, B = params.mu1, params.mu2, params.e1, params.e2, params.B
+    v1, v2 = p1 / mu1, p2 / mu2
+    q = _ref_geodesic_distance(q1, q2)
+    dV = V.derivative(q)
+    f1 = dV * (q2 - np.cos(q) * q1) / np.sin(q)
+    f2 = dV * (q1 - np.cos(q) * q2) / np.sin(q)
+    dp1 = f1 + e1 * B * np.cross(v1, q1) - mu1 * (v1 @ v1) * q1
+    dp2 = f2 + e2 * B * np.cross(v2, q2) - mu2 * (v2 @ v2) * q2
+    return np.concatenate([v1, v2, dp1, dp2])
+
+
+def _ref_project(y):
+    out = y.copy()
+    for qi, pi in ((0, 6), (3, 9)):
+        q = out[qi : qi + 3]
+        q /= np.linalg.norm(q)
+        p = out[pi : pi + 3]
+        p -= (p @ q) * q
+    return out
+
+
+def _ref_one_particle_rhs(y, mu, e, B):
+    x, p = y[0:3], y[3:6]
+    v = p / mu
+    return np.concatenate([v, e * B * np.cross(v, x) - mu * (v @ v) * x])
+
+
+def _random_full_states(rng, n):
+    """(12, n) states near the sphere: unit positions, tangent momenta."""
+    q1, q2 = (v / np.linalg.norm(v, axis=0) for v in rng.normal(size=(2, 3, n)))
+    p1, p2 = rng.normal(size=(2, 3, n))
+    p1 -= np.sum(p1 * q1, axis=0) * q1
+    p2 -= np.sum(p2 * q2, axis=0) * q2
+    return np.concatenate([q1, q2, p1, p2])
+
+
+def _rel(new, ref):
+    """Max difference relative to the largest reference component."""
+    return np.max(np.abs(new - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("p", [identical_params(2.5), GENERAL])
+def test_componentwise_kernels_match_cross_product_formulas(rng, p):
+    V = cot_potential(p)
+    Y = _random_full_states(rng, 200)
+    raw = Y + rng.normal(scale=0.3, size=Y.shape)   # off the sphere and its tangent planes
+    batch = {
+        "full_rhs": (full_rhs(Y, p, V), lambda y: _ref_full_rhs(y, p, V), Y),
+        "project": (_project(raw), _ref_project, raw),
+        "phi": (momentum_map_array(Y, p), lambda y: _ref_momentum_map(y, p), Y),
+        "distance": (geodesic_distance(Y[0:3], Y[3:6]),
+                     lambda y: _ref_geodesic_distance(y[0:3], y[3:6]), Y),
+    }
+    for name, (new, ref_fn, inputs) in batch.items():
+        for j in range(inputs.shape[1]):
+            ref = ref_fn(inputs[:, j])
+            assert _rel(new[..., j], ref) < 1e-14, name
+    for j in range(20):
+        y = Y[:, j]
+        assert _rel(full_rhs(y, p, V), _ref_full_rhs(y, p, V)) < 1e-14
+        assert _rel(_project(raw[:, j]), _ref_project(raw[:, j])) < 1e-14
+        assert _rel(geodesic_distance(y[0:3], y[3:6]), _ref_geodesic_distance(y[0:3], y[3:6])) < 1e-14
+        phi = momentum_map(FullState.from_array(y), p).phi
+        assert _rel(phi, _ref_momentum_map(y, p)) < 1e-14
+
+
+def test_one_particle_rhs_matches_cross_product_formula(rng):
+    for _ in range(20):
+        y = _random_full_states(rng, 1)[[0, 1, 2, 6, 7, 8], 0]
+        mu, e, B = rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.5, 4.0)
+        assert _rel(one_particle_rhs(y, mu, e, B), _ref_one_particle_rhs(y, mu, e, B)) < 1e-14
+
+
+def test_full_csv_matches_row_by_row_formatting(params, V):
+    traj = full_integrate(lift_state(ReducedState(0.05, -0.1, 0.12, 1.5, 0.03), params),
+                          params, V, t_end=0.2, dt=1e-2)
+    cols = [f"{v}{i}{a}" for v in ("q", "p") for i in (1, 2) for a in "xyz"]
+    ref = "t," + ",".join(cols) + ",phix,phiy,phiz\n"
+    for t, y, f in zip(traj.times, traj.states, traj.phi):
+        ref += ",".join(f"{v:.15g}" for v in [t, *y, *f]) + "\n"
+    assert traj.to_csv() == ref
+
+
+def test_full_integrate_non_finite_state(params):
+    """A NaN force is reported as NonFiniteState at the first step, before
+    the distance guard sees the NaN state."""
+    nan = Potential(value=lambda q: q * np.nan, derivative=lambda q: q * np.nan, name="nan")
+    s = ReducedState(0.05, -0.1, 0.12, 1.5, 0.03)
+    with pytest.raises(NonFiniteState, match=r"non-finite state at t=0\.001$"):
+        full_integrate(lift_state(s, params), params, nan, t_end=0.01, dt=1e-3)
+
+
+def test_full_integrate_collision_guard():
+    """Two force-free particles run head-on along one great circle and meet
+    at t = 0.25; the distance guard stops the run at that step."""
+    free = Potential(value=lambda q: 0.0 * q, derivative=lambda q: 0.0 * q, name="free")
+    p = SystemParams(1, 1, 1, 1, 0.0)
+    a = 0.25
+    s, c = np.sin(a), np.cos(a)
+    start = FullState([0, -s, -c], [0, s, -c], [0, c, -s], [0, -c, -s])
+    with pytest.raises(CollisionApproach, match=r"^geodesic distance \S+ left guarded domain at t=0\.25$"):
+        full_integrate(start, p, free, t_end=1.0, dt=1e-2)
+
+
+@pytest.mark.parametrize("t_end, dt", [(0.1005, 1e-2), (1.0, 0.3), (1e-3, 1e-2)])
+def test_full_integrators_reject_a_partial_step(params, V, t_end, dt):
+    full = lift_state(ReducedState(0.05, -0.1, 0.12, 1.5, 0.03), params)
+    with pytest.raises(DomainError, match="whole number of steps"):
+        full_integrate(full, params, V, t_end=t_end, dt=dt)
+    with pytest.raises(DomainError, match="whole number of steps"):
+        one_particle_integrate([0, 0, 1], [1, 0, 0], 1.0, 1.0, 2.0, t_end=t_end, dt=dt)
