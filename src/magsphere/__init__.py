@@ -6,7 +6,6 @@ from .core import (
     CollisionApproach,
     DEFAULT_TOL,
     DegenerateConfiguration,
-    DegeneratePoint,
     DomainError,
     MagsphereError,
     NearRightAngle,
@@ -27,9 +26,7 @@ from .reduced import (
     casimir,
     hamiltonian,
     integrate,
-    poisson_tensor,
     residual,
-    vector_field,
 )
 from .fullspace import (
     FullState,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -19,8 +19,6 @@ from scipy.optimize import brentq
 from .core import (
     DEFAULT_TOL,
     DomainError,
-    Potential,
-    SystemParams,
     Tolerances,
     cot_potential,
     identical_params,
@@ -35,7 +33,6 @@ from .equilibria import (
     type2_threshold,
 )
 from .stability import stability_arrays
-from .reduced import casimir_array
 
 B_CRITICAL = (4.0 / 3.0) * 3.0**0.25      # minimum of the existence threshold
 Q_CRITICAL = 2.0 * np.pi / 3.0
@@ -75,15 +72,12 @@ class AtlasGrid:
     metadata: dict
 
 
-def _metadata(params: Optional[SystemParams], potential: str, tol: Tolerances) -> dict:
-    md = {
+def _metadata(potential: str, tol: Tolerances) -> dict:
+    return {
         "potential": potential,
         "tol_residual": tol.record_residual,
         "tol_classify": tol.classify,
     }
-    if params is not None:
-        md.update(mu1=params.mu1, mu2=params.mu2, e1=params.e1, e2=params.e2, B=params.B)
-    return md
 
 
 def csv_with_metadata(columns: Sequence[str], rows: Iterable[Sequence], metadata: dict) -> str:
@@ -407,21 +401,15 @@ def stability_grid(
     if B_axis is None:
         B_axis = default_B_axis(60)
     grid = closed_form_grid(q_axis, B_axis, families, tol)
-    keep = ~(grid.residual > tol.record_residual)
-    params = identical_params(grid.B[keep])
-    _, _, classes = stability_arrays(grid.states()[:, keep], params, cot_potential(params), tol)
+    grid = grid.take(~(grid.residual > tol.record_residual))
+    params = identical_params(grid.B)
+    _, _, classes = stability_arrays(grid.states(), params, cot_potential(params), tol)
     cells = [{"q": float(q), "B": float(B), "entries": []} for q in q_axis for B in B_axis]
-    kept = zip(
-        grid.cell[keep].tolist(),
-        grid.family[keep],
-        grid.H[keep].tolist(),
-        grid.C[keep].tolist(),
-        classes,
-    )
+    kept = zip(grid.cell.tolist(), grid.family, grid.H.tolist(), grid.C.tolist(), classes)
     for i, family, H, C, cls in kept:
         cells[i]["entries"].append((family.value, H, C, cls.value))
     return AtlasGrid(
         axes={"q": q_axis, "B": B_axis},
         cells=cells,
-        metadata=_metadata(None, "cot", tol),
+        metadata=_metadata("cot", tol),
     )

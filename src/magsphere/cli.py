@@ -17,7 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,6 @@ import numpy as np
 from . import atlas
 from .core import (
     DEFAULT_TOL,
-    DomainError,
     MagsphereError,
     Potential,
     ReducedState,
@@ -35,12 +34,11 @@ from .core import (
     table_potential,
 )
 from .equilibria import (
+    TYPE1_BAND,
     RightAngleFamily,
     closed_form_grid,
     solve_general,
     solve_right_angle,
-    type1,
-    type2,
 )
 from .fullspace import full_integrate, lift_state
 from .reduced import integrate
@@ -96,7 +94,6 @@ class RunConfig:
     t_end: float = 10.0
     tol: float = DEFAULT_TOL.record_residual
     out: Optional[str] = None
-    format: str = "csv"
     diagram: str = "threshold"
     family: str = "all"
     m1: float = 0.0
@@ -179,22 +176,9 @@ def cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
-def _records_at(q: float, config: RunConfig, params: SystemParams, V: Potential):
-    recs = []
-    if params.identical and config.potential == "cot":
-        if config.family in ("all", "type1") and abs(q - np.pi / 2) > 1e-4:
-            recs += list(type1(q, params.B))
-        if config.family in ("all", "type2"):
-            recs += type2(q, params.B)
-    elif abs(q - np.pi / 2) > 1e-4:
-        recs += solve_general(q, params, V, config.tolerances())
-    return recs
-
-
 def cmd_equilibria(config: RunConfig) -> int:
     params = config.params()
     V = config.make_potential()
-    out: list = []
     if config.family == "right-angle":
         result = solve_right_angle(params, V)
         if isinstance(result, RightAngleFamily):
@@ -207,12 +191,20 @@ def cmd_equilibria(config: RunConfig) -> int:
     if qs[0] is None:
         raise ConfigError("equilibria needs --q or --grid-q")
     Bs = config.grid_B.axis() if config.grid_B else [params.B]
-    for B in Bs:
-        p = dataclasses.replace(params, B=float(B))
-        Vb = cot_potential(p) if config.potential == "cot" else V
-        for q in qs:
-            out += [r.to_dict() for r in _records_at(float(q), config, p, Vb)]
-    _write(config.out, json.dumps(out, indent=1))
+    if params.identical and config.potential == "cot":
+        families = "both" if config.family == "all" else config.family
+        grid = closed_form_grid(qs, Bs, families, config.tolerances())
+        # the grid lists cells q outer; the output lists them B outer
+        records = grid.take(np.argsort(grid.cell % len(Bs), kind="stable")).records()
+    else:
+        records = []
+        tol = config.tolerances()
+        for B in Bs:
+            p = dataclasses.replace(params, B=float(B))
+            for q in qs:
+                if abs(q - np.pi / 2) > TYPE1_BAND:      # solve_general refuses pi/2
+                    records += solve_general(float(q), p, V, tol)
+    _write(config.out, json.dumps([r.to_dict() for r in records], indent=1))
     return 0
 
 
@@ -225,12 +217,12 @@ def cmd_stability(config: RunConfig) -> int:
     tol = config.tolerances()
     grid = closed_form_grid(config.grid_q.axis(), config.grid_B.axis(), families, tol)
     # the residual cut of atlas.stability_grid: such records are dropped, not fatal
-    records = [r for r in grid.records() if not r.residual > tol.record_residual]
+    kept = grid.take(~(grid.residual > tol.record_residual))
     sys.stderr.write(
-        f"dropped {grid.residual.size - len(records)} records with residual above "
+        f"dropped {grid.residual.size - kept.residual.size} records with residual above "
         f"{tol.record_residual:g}\n"
     )
-    rows = stability_rows(records, cot_potential(config.params()), tol)
+    rows = stability_rows(kept, cot_potential(config.params()), tol)
     _write(config.out, stability_csv(rows))
     return 0
 
@@ -339,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-end", dest="t_end", type=float)
         p.add_argument("--tol", type=float)
         p.add_argument("--out")
-        p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--diagram")
         p.add_argument("--family")
         p.add_argument("--m1", type=float)

@@ -9,7 +9,7 @@ conjugate momentum.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +22,6 @@ Q_EDGE = 1e-8
 class Tolerances:
     """Central numerics policy.  All solvers and classifiers read from here."""
 
-    residual: float = 1e-10        # target residual for equilibrium solvers
     record_residual: float = 1e-9  # a record above this is rejected
     eigenvalue: float = 1e-8       # eigenvalue comparison / zero-mode detection
     classify: float = 1e-10        # degeneracy band for the (a, b) stability test
@@ -67,10 +66,6 @@ class ResidualTooLarge(MagsphereError):
 
 class OutsideDomain(MagsphereError):
     """Requested point outside the domain of an analytic curve."""
-
-
-class DegeneratePoint(MagsphereError):
-    """Restricted Hessian is singular at this record (cusp)."""
 
 
 @dataclass(frozen=True)
@@ -201,22 +196,15 @@ class BodyFrameVelocity:
 class Potential:
     """Inter-particle potential as a function of geodesic distance.
 
-    `value` and `derivative` must be supplied together; `second_derivative`
-    is optional (used by the linearizer; a finite-difference fallback exists).
-    `analytic` marks callables that accept complex arguments, which enables
-    complex-step differentiation.
+    `value` and `derivative` must be supplied together.  `analytic` marks
+    callables that accept complex arguments, which enables complex-step
+    differentiation.
     """
 
     value: Callable[[float], float]
     derivative: Callable[[float], float]
-    second_derivative: Optional[Callable[[float], float]] = None
     name: str = "custom"
     analytic: bool = False
-
-    def d2(self, q: float, h: float = 1e-6) -> float:
-        if self.second_derivative is not None:
-            return self.second_derivative(q)
-        return (self.derivative(q + h) - self.derivative(q - h)) / (2 * h)
 
 
 def cot_potential(params: SystemParams) -> Potential:
@@ -229,10 +217,7 @@ def cot_potential(params: SystemParams) -> Potential:
     def derivative(q):
         return -k / np.sin(q) ** 2
 
-    def second_derivative(q):
-        return 2 * k * np.cos(q) / np.sin(q) ** 3
-
-    return Potential(value, derivative, second_derivative, name="cot", analytic=True)
+    return Potential(value, derivative, name="cot", analytic=True)
 
 
 def table_potential(q_nodes, v_nodes) -> Potential:
@@ -255,12 +240,10 @@ def table_potential(q_nodes, v_nodes) -> Potential:
     dprobe = dspline(probe)
     if np.min(np.abs(dprobe)) < 1e-12 or np.min(dprobe) * np.max(dprobe) <= 0:
         raise DomainError("potential table has vanishing derivative; V'(q) != 0 required")
-    d2spline = spline.derivative(2)
     # [()] makes a scalar of a 0-d result and leaves arrays of states alone
     return Potential(
         value=lambda q: spline(q)[()],
         derivative=lambda q: dspline(q)[()],
-        second_derivative=lambda q: d2spline(q)[()],
         name="custom-table",
         analytic=False,
     )

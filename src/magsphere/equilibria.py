@@ -11,7 +11,7 @@ polish, and the right-angle configuration q = pi/2 is handled by its own
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import List, NamedTuple, Union
 
@@ -101,7 +101,6 @@ def make_record(
     params: SystemParams,
     V: Potential,
     degenerate: bool = False,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> EquilibriumRecord:
     x = ReducedState(0.0, float(m2), float(m3), float(q), 0.0).as_array()
     return _record(family, m2, m3, q, params, *equilibrium_values(x, params, V), degenerate)
@@ -232,6 +231,10 @@ class GridEquilibria:
         """The entries' reduced states, shape (5, entries)."""
         zero = np.zeros_like(self.q)
         return np.stack([zero, self.m2, self.m3, self.q, zero])
+
+    def take(self, keep) -> "GridEquilibria":
+        """The entries picked by an index array or boolean mask."""
+        return GridEquilibria(*(getattr(self, f.name)[keep] for f in fields(self)))
 
     def records(self) -> List[EquilibriumRecord]:
         """The entries as records, in entry order."""
@@ -425,7 +428,7 @@ def solve_general(
             if not dup:
                 found.append((float(z[0]), float(z[1])))
     records = [
-        make_record(Family.General, m2, m3, q, params, V, tol=tol) for m2, m3 in found
+        make_record(Family.General, m2, m3, q, params, V) for m2, m3 in found
     ]
     records = [r for r in records if r.residual < tol.record_residual]
     if not records:

@@ -60,18 +60,20 @@ class FullState:
         return FullState(y[0:3], y[3:6], y[6:9], y[9:12])
 
 
-@dataclass(frozen=True)
-class MomentumValue:
-    phi: np.ndarray
+def _cross_and_distance(q1, q2):
+    """q1 x q2 as a tuple of components, and the angle between q1 and q2;
+    both may carry a trailing batch axis."""
+    ax, ay, az = q1
+    bx, by, bz = q2
+    c = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    sin = np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
+    return c, np.arctan2(sin, ax * bx + ay * by + az * bz)
 
 
 def geodesic_distance(q1, q2):
     """Angle between two position vectors; q1 and q2 may carry a trailing
     batch axis."""
-    ax, ay, az = q1
-    bx, by, bz = q2
-    cx, cy, cz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-    return np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), ax * bx + ay * by + az * bz)
+    return _cross_and_distance(q1, q2)[1]
 
 
 def momentum_map_array(y, params: SystemParams):
@@ -88,8 +90,9 @@ def momentum_map_array(y, params: SystemParams):
     )
 
 
-def momentum_map(state: FullState, params: SystemParams) -> MomentumValue:
-    return MomentumValue(momentum_map_array(state.as_array(), params))
+def momentum_map(state: FullState, params: SystemParams) -> np.ndarray:
+    """The momentum map of a full state, shape (3,)."""
+    return momentum_map_array(state.as_array(), params)
 
 
 def full_rhs(y, params: SystemParams, V: Potential):
@@ -162,10 +165,27 @@ class FullTrajectory:
         return header + "".join(row % tuple(r) for r in table.tolist())
 
 
-def _distance_guard(y, t: float) -> None:
-    q = geodesic_distance(y[0:3], y[3:6])
-    if not (Q_EDGE <= q <= np.pi - Q_EDGE):
-        raise CollisionApproach(f"geodesic distance {q} left guarded domain at t={t}")
+def _distance_guard(y0):
+    """The guard of a run from y0.  It raises CollisionApproach when the
+    geodesic distance leaves [Q_EDGE, pi - Q_EDGE], and also when the
+    orientation q1 x q2 reverses from one step to the next: the particles
+    then passed through collision or antipodal placement within the step."""
+    last = _cross_and_distance(y0[0:3], y0[3:6])[0]
+
+    def guard(y, t: float) -> None:
+        nonlocal last
+        x = y[0:6].tolist()      # Python floats: cheaper arithmetic than numpy scalars
+        c, q = _cross_and_distance(x[0:3], x[3:6])
+        if not (Q_EDGE <= q <= np.pi - Q_EDGE):
+            raise CollisionApproach(f"geodesic distance {q} left guarded domain at t={t}")
+        if c[0] * last[0] + c[1] * last[1] + c[2] * last[2] < 0:
+            raise CollisionApproach(
+                f"orientation q1 x q2 reversed at t={t}: the particles passed through "
+                "collision or antipodal placement within the step"
+            )
+        last = c
+
+    return guard
 
 
 def full_integrate(
@@ -179,12 +199,12 @@ def full_integrate(
     sphere and its tangent planes; the momentum map is taken on the stored
     trajectory.  Raises DomainError unless t_end is a whole number of steps
     dt, CollisionApproach if the particles come within Q_EDGE of collision
-    or of antipodal placement, and NonFiniteState on numeric blow-up."""
+    or of antipodal placement or pass through either within a step, and
+    NonFiniteState on numeric blow-up."""
     n_steps = step_count(t_end, dt)
+    y0 = initial.as_array()
     # full_rhs is looked up at call time, so a wrapper bound in its place sees every call
-    states = rk4(
-        lambda y: full_rhs(y, params, V), initial.as_array(), dt, n_steps, _project, _distance_guard
-    )
+    states = rk4(lambda y: full_rhs(y, params, V), y0, dt, n_steps, _project, _distance_guard(y0))
     phi = momentum_map_array(states.T, params).T
     return FullTrajectory(np.arange(n_steps + 1) * dt, states, phi, params)
 
@@ -202,20 +222,6 @@ def body_frame(q1, q2) -> np.ndarray:
     e2 = (np.asarray(q2, dtype=float) + np.cos(q) * e3) / np.sin(q)
     e1 = np.cross(e2, e3)
     return np.column_stack([e1, e2, e3])
-
-
-def euler_angles(g) -> tuple[float, float, float]:
-    """(theta, phi, psi) of a rotation matrix in the z-x-z style convention
-    used for the reference parametrization.  Conversion utility only."""
-    g = np.asarray(g, dtype=float)
-    theta = float(np.arccos(np.clip(g[2, 2], -1.0, 1.0)))
-    if abs(np.sin(theta)) < 1e-12:
-        phi = float(np.arctan2(g[1, 0], g[0, 0]))
-        psi = 0.0
-    else:
-        phi = float(np.arctan2(g[2, 0], g[2, 1]))
-        psi = float(np.arctan2(g[0, 2], -g[1, 2]))
-    return theta, phi, psi
 
 
 def reduce_state(state: FullState, params: SystemParams) -> ReducedState:

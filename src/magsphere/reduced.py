@@ -1,6 +1,6 @@
 """The reduced Poisson system on (m1, m2, m3, q, p).
 
-Hamiltonian, Casimir, bracket tensor, equations of motion and a fixed-step
+Hamiltonian, Casimir, bracket matrix, equations of motion and a fixed-step
 integrator with invariant monitoring.  The bracket table is normative; a
 test pins the identity rhs = sigma . grad(H).
 """
@@ -85,20 +85,6 @@ def grad_casimir(x, params: SystemParams):
     )
 
 
-@dataclass(frozen=True)
-class PoissonTensor:
-    """Antisymmetric 5x5 bracket matrix evaluated at a state."""
-
-    matrix: np.ndarray
-
-    def apply(self, grad: np.ndarray) -> np.ndarray:
-        return self.matrix @ grad
-
-
-def poisson_tensor(state: ReducedState, params: SystemParams) -> PoissonTensor:
-    return PoissonTensor(poisson_matrix(state.as_array(), params))
-
-
 def poisson_matrix(x, params: SystemParams) -> np.ndarray:
     m1, m2, m3, q, p = x
     B, e1, e2 = params.B, params.e1, params.e2
@@ -116,11 +102,6 @@ def poisson_matrix(x, params: SystemParams) -> np.ndarray:
         sig[i, j] = v
         sig[j, i] = -v
     return sig
-
-
-def vector_field(state: ReducedState, params: SystemParams, V: Potential) -> np.ndarray:
-    """Right-hand side (m1', m2', m3', q', p') of the reduced equations."""
-    return rhs(state.as_array(), params, V)
 
 
 def rhs(x, params: SystemParams, V: Potential):

@@ -10,7 +10,6 @@ is read off the pair (a, b).
 
 from __future__ import annotations
 
-import dataclasses
 import io
 from dataclasses import dataclass
 from enum import Enum
@@ -20,14 +19,13 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    DegeneratePoint,
-    DomainError,
     OutsideDomain,
     Potential,
     ResidualTooLarge,
     Tolerances,
+    identical_params,
 )
-from .equilibria import EquilibriumRecord
+from .equilibria import EquilibriumRecord, GridEquilibria
 from .reduced import grad_casimir, grad_hamiltonian, rhs
 
 
@@ -139,40 +137,48 @@ def _check_residual(record: EquilibriumRecord, tol: Tolerances) -> None:
         )
 
 
+def signature_arrays(x, params, V: Potential, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Signatures (n_plus, n_minus, n_zero) of the Hessian of H restricted
+    to the Casimir level set at equilibria x of shape (5, ...), with shape
+    (..., 3); (0, 0, 4) wherever that Hessian is singular (a cusp).
+
+    At a relative equilibrium grad H = lam * grad C, so the restricted
+    second variation is P (D2H - lam * D2C) P on the orthogonal complement
+    of grad C.  params.B may be an array broadcasting against x[0].
+    """
+    x = np.asarray(x, dtype=float)
+    last = (*range(1, x.ndim), 0)          # puts the component axis last
+    gH = grad_hamiltonian(x, params, V).transpose(last)
+    gC = grad_casimir(x, params).transpose(last)
+    cc = (gC * gC).sum(axis=-1)
+    lam = (gH * gC).sum(axis=-1) / cc
+    D2H = _symmetric_part(
+        derivative_matrix(lambda z: grad_hamiltonian(z, params, V), x, V.analytic)
+    )
+    D2C = _symmetric_part(derivative_matrix(lambda z: grad_casimir(z, params), x, True))
+    M = D2H - lam[..., None, None] * D2C
+
+    # orthonormal basis of the complement of grad C
+    n = gC / np.sqrt(cc)[..., None]
+    basis = np.linalg.svd(np.eye(5) - n[..., :, None] * n[..., None, :])[0][..., :4]
+    R = basis.swapaxes(-1, -2) @ M @ basis
+    w = np.linalg.eigvalsh(R)
+    n_plus = (w > tol.eigenvalue).sum(axis=-1)
+    n_minus = (w < -tol.eigenvalue).sum(axis=-1)
+    sig = np.stack([n_plus, n_minus, 4 - n_plus - n_minus], axis=-1)
+    singular = np.abs(np.linalg.det(R)) < 1e-10
+    return np.where(singular[..., None], (0, 0, 4), sig)
+
+
 def hessian_signature(
     record: EquilibriumRecord,
     V: Potential,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[int, int, int]:
-    """Signature of the Hessian of H restricted to the Casimir level set.
-
-    At a relative equilibrium grad H = lam * grad C, so the restricted
-    second variation is P (D2H - lam * D2C) P on the orthogonal complement
-    of grad C.
-    """
-    if record.residual > tol.record_residual:
-        raise ResidualTooLarge(f"residual {record.residual} too large for Hessian analysis")
+    """`signature_arrays` at one residual-checked equilibrium."""
+    _check_residual(record, tol)
     x = record.state.as_array()
-    params = record.params
-    gH = grad_hamiltonian(x, params, V)
-    gC = grad_casimir(x, params)
-    lam = float(gH @ gC) / float(gC @ gC)
-    D2H = _symmetric_part(
-        derivative_matrix(lambda z: grad_hamiltonian(z, params, V), x, V.analytic)
-    )
-    D2C = _symmetric_part(derivative_matrix(lambda z: grad_casimir(z, params), x, True))
-    M = D2H - lam * D2C
-
-    # orthonormal basis of the complement of grad C
-    n = gC / np.linalg.norm(gC)
-    basis = np.linalg.svd(np.eye(5) - np.outer(n, n))[0][:, :4]
-    R = basis.T @ M @ basis
-    if abs(np.linalg.det(R)) < 1e-10:
-        raise DegeneratePoint("restricted Hessian is singular (cusp)")
-    w = np.linalg.eigvalsh(R)
-    n_plus = int(np.sum(w > tol.eigenvalue))
-    n_minus = int(np.sum(w < -tol.eigenvalue))
-    return n_plus, n_minus, 4 - n_plus - n_minus
+    return tuple(signature_arrays(x, record.params, V, tol).tolist())
 
 
 def linearize(
@@ -187,12 +193,7 @@ def linearize(
     J = jacobian_matrix(x, record.params, V)
     a, b = char_coefficients(J)
     eigs = np.linalg.eigvals(J)
-    sig = (0, 0, 0)
-    if with_hessian:
-        try:
-            sig = hessian_signature(record, V, tol)
-        except DegeneratePoint:
-            sig = (0, 0, 4)
+    sig = hessian_signature(record, V, tol) if with_hessian else (0, 0, 0)
     return LinearizationReport(
         jacobian=J,
         char_coeffs=(a, b),
@@ -221,49 +222,36 @@ def threshold_stability(q0: float) -> Classification:
 
 
 def stability_rows(
-    records: Iterable[EquilibriumRecord],
+    grid: GridEquilibria,
     V: Potential,
     tol: Tolerances = DEFAULT_TOL,
 ) -> List[dict]:
-    """Rows of `stability_csv`: (a, b) and class of every record from one
-    batched Jacobian, and each record's Hessian signature ((0, 0, 4) where
-    that Hessian is singular).  The records must share masses and charges;
-    B may differ from record to record."""
-    records = list(records)
-    if not records:
-        return []
-    for r in records:
-        _check_residual(r, tol)
-    first = records[0].params
-    if any(
-        (r.params.mu1, r.params.mu2, r.params.e1, r.params.e2)
-        != (first.mu1, first.mu2, first.e1, first.e2)
-        for r in records
-    ):
-        raise DomainError("stability_rows needs records of one particle system")
-    x = np.array([r.state.as_array() for r in records]).T
-    params = dataclasses.replace(first, B=np.array([r.params.B for r in records]))
+    """Rows of `stability_csv`, one per entry of a closed-form grid: (a, b)
+    and class from one batched Jacobian, the Hessian signature from one
+    batched Hessian.  Raises ResidualTooLarge if an entry is above the
+    residual cut."""
+    worst = grid.residual.max(initial=0.0)
+    if worst > tol.record_residual:
+        raise ResidualTooLarge(f"record residual {worst} exceeds {tol.record_residual}")
+    x = grid.states()
+    params = identical_params(grid.B)
     a, b, classes = stability_arrays(x, params, V, tol)
-    rows = []
-    for r, ai, bi, cls in zip(records, a.tolist(), b.tolist(), classes):
-        try:
-            sig = hessian_signature(r, V, tol)
-        except DegeneratePoint:
-            sig = (0, 0, 4)
-        rows.append(
-            {
-                "q": r.state.q,
-                "B": r.params.B,
-                "family": r.family.value,
-                "a": ai,
-                "b": bi,
-                "class": cls.value,
-                "n_plus": sig[0],
-                "n_minus": sig[1],
-                "n_zero": sig[2],
-            }
-        )
-    return rows
+    sigs = signature_arrays(x, params, V, tol).tolist()
+    cols = zip(grid.q.tolist(), grid.B.tolist(), grid.family, a.tolist(), b.tolist(), classes, sigs)
+    return [
+        {
+            "q": q,
+            "B": B,
+            "family": family.value,
+            "a": ai,
+            "b": bi,
+            "class": cls.value,
+            "n_plus": sig[0],
+            "n_minus": sig[1],
+            "n_zero": sig[2],
+        }
+        for q, B, family, ai, bi, cls, sig in cols
+    ]
 
 
 def stability_csv(rows: Iterable[dict]) -> str:

@@ -7,29 +7,11 @@ reversal (flip B and all momenta) and the opposite-charge map relating the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
-from typing import Callable
+from dataclasses import replace
 
 import numpy as np
 
 from .core import DomainError, ReducedState, SystemParams
-
-
-class MapName(Enum):
-    Swap = "Swap"
-    TimeReversal = "TimeReversal"
-    OppositeCharge = "OppositeCharge"
-
-
-@dataclass(frozen=True)
-class ReducedMap:
-    name: MapName
-    action: Callable[[ReducedState], ReducedState]
-    param_action: Callable[[SystemParams], SystemParams]
-
-    def __call__(self, state: ReducedState, params: SystemParams):
-        return self.action(state), self.param_action(params)
 
 
 def swap_matrix(q: float) -> np.ndarray:
@@ -71,25 +53,3 @@ def opposite_charge(
     """
     mapped = ReducedState(-state.m1, -state.m2, state.m3, np.pi - state.q, -state.p)
     return mapped, replace(params, e2=-params.e2)
-
-
-def _swap_action(s: ReducedState) -> ReducedState:
-    v = swap_matrix(s.q) @ np.array([s.m1, s.m2, s.m3, s.p])
-    return ReducedState(v[0], v[1], v[2], s.q, v[3])
-
-
-def reduced_maps() -> dict[MapName, ReducedMap]:
-    """The three involutions packaged with their parameter actions."""
-    return {
-        MapName.Swap: ReducedMap(MapName.Swap, _swap_action, lambda p: p),
-        MapName.TimeReversal: ReducedMap(
-            MapName.TimeReversal,
-            lambda s: ReducedState(-s.m1, -s.m2, -s.m3, s.q, -s.p),
-            lambda p: replace(p, B=-p.B),
-        ),
-        MapName.OppositeCharge: ReducedMap(
-            MapName.OppositeCharge,
-            lambda s: ReducedState(-s.m1, -s.m2, s.m3, np.pi - s.q, -s.p),
-            lambda p: replace(p, e2=-p.e2),
-        ),
-    }

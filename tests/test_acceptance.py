@@ -258,7 +258,7 @@ def test_criterion_10_bifurcation_structure():
     # the normalisation: C is |Phi|^2 of the lifted degenerate record
     params = identical_params(B_CRIT)
     rec = type2(atlas.Q_CRITICAL, B_CRIT)[0]
-    phi = momentum_map(lift_state(rec.state, params), params).phi
+    phi = momentum_map(lift_state(rec.state, params), params)
     assert abs(float(phi @ phi) - C_star) < 1e-6
     # the definition: the C range of the region closes in on C_star as
     # B -> B*+, bracketing it at every B

@@ -1,8 +1,14 @@
+import ast
+import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from magsphere import cli
 from magsphere.cli import ConfigError, GridSpec, RunConfig, main, parse_config
 
 
@@ -86,6 +92,26 @@ def test_equilibria_identical_grid(tmp_path):
     records = json.loads(out.read_text())
     assert len(records) == 6  # 2 per cell
     assert all(r["residual"] < 1e-9 for r in records)
+
+
+@pytest.mark.parametrize("family", ["all", "type1", "type2"])
+def test_equilibria_grid_equals_per_cell_closed_forms(tmp_path, family):
+    """The records of one closed_form_grid call, listed B outer and q inner,
+    equal scalar type1/type2 calls cell by cell; the middle q is pi/2."""
+    from magsphere.equilibria import type1, type2
+
+    out = tmp_path / "eq.json"
+    grid = ["--grid-q", f"0.5:{np.pi - 0.5!r}:3", "--grid-B", "0.5:5:9"]
+    assert main(["equilibria", *grid, "--family", family, "--out", str(out)]) == 0
+    expected = []
+    for B in np.linspace(0.5, 5, 9):
+        for q in np.linspace(0.5, np.pi - 0.5, 3):
+            if family != "type2" and abs(q - np.pi / 2) > 1e-4:
+                expected += [r.to_dict() for r in type1(q, B)]
+            if family != "type1":
+                expected += [r.to_dict() for r in type2(q, B)]
+    assert json.loads(out.read_text()) == expected
+    assert len(expected) > 20
 
 
 def test_equilibria_below_threshold(tmp_path):
@@ -216,3 +242,58 @@ def test_equilibria_tol_sets_the_residual_cut(tmp_path):
     assert expected and len(expected) < len(records)
     assert main(args + ["--tol", repr(cut)]) == 0
     assert json.loads(out.read_text()) == expected
+
+
+# The first run passes antipodal placement at t = 1.902, the second collides
+# at t = 0.142 (reduced guard); RK4 steps of dt = 1e-3 either way.
+COLLISION_RUNS = {
+    "antipodal": ["--q", "1.4", "--m2", "0.05", "--B", "2.5", "--t-end", "5"],
+    "collision": ["--q", "0.5", "--e2", "-1", "--p", "-1", "--B", "0.5", "--t-end", "5"],
+}
+
+
+@pytest.mark.parametrize("flags", COLLISION_RUNS.values(), ids=COLLISION_RUNS.keys())
+def test_reconstruct_stops_where_simulate_does(tmp_path, capsys, flags):
+    """Both commands exit 2 with CollisionApproach, the full-space run within
+    10 steps of the reduced one."""
+    stop = {}
+    for command in ("simulate", "reconstruct"):
+        assert main([command, *flags, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("CollisionApproach: ")
+        stop[command] = float(re.search(r"at t=([0-9.e+-]+)", err).group(1))
+    assert abs(stop["reconstruct"] - stop["simulate"]) <= 10 * 1e-3
+
+
+def test_every_config_field_is_read():
+    """A parsed flag or config key that no code reads is a bug: every
+    RunConfig field but `command` is read as config.<field> or self.<field>
+    in cli.py."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("config", "self")
+    }
+    fields = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+    assert fields - read == set()
+
+
+def test_readme_examples_run(tmp_path):
+    """Every `magsphere ...` line of the README's sh blocks exits 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("magsphere ")
+    ]
+    assert len(lines) >= 8
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        i = argv.index("--out")
+        argv[i + 1] = str(tmp_path / argv[i + 1])
+        assert main(argv) == 0, line

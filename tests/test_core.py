@@ -4,7 +4,6 @@ import pytest
 from magsphere.core import (
     BodyFrameVelocity,
     DomainError,
-    Potential,
     ReducedState,
     SystemParams,
     body_velocity_to_reduced,
@@ -43,8 +42,6 @@ def test_cot_potential_derivatives():
         h = 1e-6
         fd = (V.value(q + h) - V.value(q - h)) / (2 * h)
         assert V.derivative(q) == pytest.approx(fd, abs=1e-8)
-        fd2 = (V.derivative(q + h) - V.derivative(q - h)) / (2 * h)
-        assert V.second_derivative(q) == pytest.approx(fd2, abs=1e-6)
     assert V.analytic
 
 
@@ -63,11 +60,6 @@ def test_table_potential_rejects_flat():
         table_potential(qs, np.sin(qs))  # derivative vanishes at pi/2
     with pytest.raises(DomainError):
         table_potential(qs[:3], qs[:3])
-
-
-def test_fd_fallback_for_second_derivative():
-    V = Potential(lambda q: np.cos(q), lambda q: -np.sin(q))
-    assert V.d2(1.0) == pytest.approx(-np.cos(1.0), abs=1e-6)
 
 
 def test_legendre_roundtrip(rng):

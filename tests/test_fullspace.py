@@ -15,7 +15,6 @@ from magsphere.core import (
 from magsphere.fullspace import (
     FullState,
     body_frame,
-    euler_angles,
     full_integrate,
     full_rhs,
     geodesic_distance,
@@ -62,17 +61,6 @@ def test_body_frame_is_rotation(rng):
         assert np.allclose(g @ [0, np.sin(q), -np.cos(q)], q2, atol=1e-12)
 
 
-def test_euler_angle_reconstruction(rng):
-    for _ in range(10):
-        q1 = rng.normal(size=3)
-        q1 /= np.linalg.norm(q1)
-        q2 = rng.normal(size=3)
-        q2 /= np.linalg.norm(q2)
-        g = body_frame(q1, q2)
-        theta, phi, psi = euler_angles(g)
-        assert g[2, 2] == pytest.approx(np.cos(theta))
-
-
 def test_reduce_lift_roundtrip(rng):
     for p in (identical_params(2.5), GENERAL):
         for _ in range(30):
@@ -85,7 +73,7 @@ def test_momentum_map_squared_is_casimir(rng):
     for p in (identical_params(2.5), GENERAL):
         for _ in range(30):
             s = ReducedState(*rng.uniform(-1, 1, 3), rng.uniform(0.3, 2.8), rng.uniform(-1, 1))
-            phi = momentum_map(lift_state(s, p), p).phi
+            phi = momentum_map(lift_state(s, p), p)
             assert float(phi @ phi) == pytest.approx(casimir(s, p), rel=1e-12)
 
 
@@ -217,7 +205,7 @@ def test_componentwise_kernels_match_cross_product_formulas(rng, p):
         assert _rel(full_rhs(y, p, V), _ref_full_rhs(y, p, V)) < 1e-14
         assert _rel(_project(raw[:, j]), _ref_project(raw[:, j])) < 1e-14
         assert _rel(geodesic_distance(y[0:3], y[3:6]), _ref_geodesic_distance(y[0:3], y[3:6])) < 1e-14
-        phi = momentum_map(FullState.from_array(y), p).phi
+        phi = momentum_map(FullState.from_array(y), p)
         assert _rel(phi, _ref_momentum_map(y, p)) < 1e-14
 
 
@@ -257,6 +245,26 @@ def test_full_integrate_collision_guard():
     start = FullState([0, -s, -c], [0, s, -c], [0, c, -s], [0, -c, -s])
     with pytest.raises(CollisionApproach, match=r"^geodesic distance \S+ left guarded domain at t=0\.25$"):
         full_integrate(start, p, free, t_end=1.0, dt=1e-2)
+
+
+@pytest.mark.parametrize(
+    "theta, omega",
+    [((-0.255, 0.255), (1, -1)), ((0.255 - np.pi / 2, np.pi / 2 - 0.255), (-1, 1))],
+    ids=["collision", "antipodal"],
+)
+def test_full_integrate_catches_a_pass_within_one_step(theta, omega):
+    """Two force-free particles on one great circle meet (or reach antipodal
+    placement) at t = 0.255, between the steps at 0.25 and 0.26, where the
+    distance is 0.01 from the edge on either side: only the reversal of
+    q1 x q2 shows the pass."""
+    free = Potential(value=lambda q: 0.0 * q, derivative=lambda q: 0.0 * q, name="free")
+    p = SystemParams(1, 1, 1, 1, 0.0)
+    x = [[0, np.sin(a), -np.cos(a)] for a in theta]
+    v = [[0, w * np.cos(a), w * np.sin(a)] for a, w in zip(theta, omega)]
+    start = FullState(x[0], x[1], v[0], v[1])
+    with pytest.raises(CollisionApproach, match=r"^orientation q1 x q2 reversed at t=0\.26: "):
+        full_integrate(start, p, free, t_end=1.0, dt=1e-2)
+    assert full_integrate(start, p, free, t_end=0.25, dt=1e-2).states.shape == (26, 12)
 
 
 @pytest.mark.parametrize("t_end, dt", [(0.1005, 1e-2), (1.0, 0.3), (1e-3, 1e-2)])

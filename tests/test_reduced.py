@@ -60,6 +60,35 @@ def test_casimir_gradient_in_kernel(rng):
             assert np.max(np.abs(v)) < 1e-12
 
 
+def _jacobiator(bracket, x) -> float:
+    """max |sigma_il d_l sigma_jk + cyclic| relative to |sigma| |d sigma|, with
+    d sigma by complex step (the bracket takes complex states)."""
+    s = bracket(x)
+    ds = np.empty((5, 5, 5))
+    for l in range(5):
+        z = x.astype(complex)
+        z[l] += 1e-200j
+        ds[l] = bracket(z).imag / 1e-200
+    T = np.einsum("il,ljk->ijk", s, ds)
+    J = T + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)
+    return np.max(np.abs(J)) / (np.max(np.abs(s)) * np.max(np.abs(ds)))
+
+
+@pytest.mark.parametrize("p", [GENERAL, SystemParams(0.4, 2.2, -1.5, 0.8, -1.7)])
+def test_poisson_matrix_jacobi_identity(rng, p):
+    """The reduced bracket satisfies the Jacobi identity for general masses
+    and charges; flipping the sign of its (m3, p) entry breaks it."""
+    states = random_states(rng, 50)
+    assert max(_jacobiator(lambda z: poisson_matrix(z, p), x) for x in states) < 1e-14
+
+    def flipped(z):
+        s = poisson_matrix(z, p)
+        s[2, 4], s[4, 2] = -s[2, 4], -s[4, 2]
+        return s
+
+    assert max(_jacobiator(flipped, x) for x in states) > 1e-2
+
+
 def test_poisson_matrix_antisymmetric(rng):
     for x in random_states(rng, 10):
         s = poisson_matrix(x, GENERAL)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magsphere.core import (
-    DomainError,
+    DEFAULT_TOL,
     OutsideDomain,
     ResidualTooLarge,
     cot_potential,
@@ -19,14 +19,16 @@ from magsphere.equilibria import (
     type2,
     type2_threshold,
 )
-from magsphere.reduced import grad_casimir, rhs
+from magsphere.reduced import grad_casimir, grad_hamiltonian, rhs
 from magsphere.stability import (
     Classification,
     char_coefficients,
     classify,
+    derivative_matrix,
     hessian_signature,
     jacobian_matrix,
     linearize,
+    signature_arrays,
     stability_csv,
     stability_rows,
     threshold_stability,
@@ -204,24 +206,25 @@ def test_hessian_signature_constant_along_branch():
 
 
 def test_stability_csv_schema(params, V):
-    rows = stability_rows([type1(1.0, 2.5)[0]], V)
-    text = stability_csv(rows)
-    header, line = text.splitlines()
+    rows = stability_rows(closed_form_grid([1.0], [2.5], "type1"), V)
+    header, *lines = stability_csv(rows).splitlines()
     assert header == "q,B,family,a,b,class,n_plus,n_minus,n_zero"
-    assert line.split(",")[2] == "TypeI+"
+    assert [line.split(",")[2] for line in lines] == ["TypeI+", "TypeI-"]
+
+
+def _table_cot():
+    nodes = np.linspace(0.1, np.pi - 0.1, 400)
+    return table_potential(nodes, 1 / np.tan(nodes))
 
 
 @pytest.mark.parametrize("table", [False, True])
 def test_stability_rows_equal_per_record_linearize(table):
-    """Batched rows against one linearize call per record, for the
+    """Batched rows against one linearize call per grid entry, for the
     complex-step (cot) and central-difference (table) derivatives."""
-    V = cot_potential(identical_params(1.0))
-    if table:
-        nodes = np.linspace(0.1, np.pi - 0.1, 400)
-        V = table_potential(nodes, 1 / np.tan(nodes))
-    recs = [r for q, B in ((0.7, 1.0), (1.2, 2.5), (2.0, 2.5), (2.6, 4.0))
-            for r in list(type1(q, B)) + type2(q, B)]
-    rows = stability_rows(recs, V)
+    V = _table_cot() if table else cot_potential(identical_params(1.0))
+    grid = closed_form_grid([0.7, 1.2, 2.0, 2.6], [1.0, 2.5, 4.0])
+    rows = stability_rows(grid, V)
+    recs = grid.records()
     assert len(rows) == len(recs) > 8
     for r, row in zip(recs, rows):
         rep = linearize(r, V)
@@ -230,10 +233,63 @@ def test_stability_rows_equal_per_record_linearize(table):
         assert row["b"] == pytest.approx(rep.char_coeffs[1], rel=1e-9)
         assert row["class"] == rep.classification.value
         assert (row["n_plus"], row["n_minus"], row["n_zero"]) == rep.hessian_signature
-    other = type1(0.7, 1.0)[0]
-    other = dataclasses.replace(other, params=dataclasses.replace(other.params, mu1=2.0))
-    with pytest.raises(DomainError):
-        stability_rows([recs[0], other], V)
+    with pytest.raises(ResidualTooLarge):
+        stability_rows(dataclasses.replace(grid, residual=grid.residual + 1.0), V)
+
+
+def _ref_hessian_signature(record, V, tol=DEFAULT_TOL):
+    """The per-record restricted Hessian signature as it was computed before
+    the batched kernel, with (0, 0, 4) where the Hessian is singular."""
+    x = record.state.as_array()
+    params = record.params
+    gH = grad_hamiltonian(x, params, V)
+    gC = grad_casimir(x, params)
+    lam = float(gH @ gC) / float(gC @ gC)
+    sym = lambda M: 0.5 * (M + M.T)
+    D2H = sym(derivative_matrix(lambda z: grad_hamiltonian(z, params, V), x, V.analytic))
+    D2C = sym(derivative_matrix(lambda z: grad_casimir(z, params), x, True))
+    M = D2H - lam * D2C
+    n = gC / np.linalg.norm(gC)
+    basis = np.linalg.svd(np.eye(5) - np.outer(n, n))[0][:, :4]
+    R = basis.T @ M @ basis
+    if abs(np.linalg.det(R)) < 1e-10:
+        return (0, 0, 4)
+    w = np.linalg.eigvalsh(R)
+    n_plus = int(np.sum(w > tol.eigenvalue))
+    n_minus = int(np.sum(w < -tol.eigenvalue))
+    return n_plus, n_minus, 4 - n_plus - n_minus
+
+
+@pytest.mark.parametrize("table", [False, True])
+def test_signature_arrays_equal_per_record_reference(table):
+    """Every entry of the 50 x 50 acceptance grid: one batched call against
+    the per-record reference, and hessian_signature on each record."""
+    grid = closed_form_grid(np.linspace(0.2, np.pi - 0.2, 50), np.linspace(0.1, 5.0, 50))
+    grid = grid.take(grid.residual <= 1e-9)
+    params = identical_params(grid.B)
+    V = _table_cot() if table else cot_potential(params)
+    sigs = signature_arrays(grid.states(), params, V)
+    assert sigs.shape == (grid.q.size, 3) and grid.q.size > 5000
+    assert set(map(tuple, sigs.tolist())) >= {(4, 0, 0), (2, 2, 0)}
+    for i, (sig, rec) in enumerate(zip(map(tuple, sigs.tolist()), grid.records())):
+        assert sig == _ref_hessian_signature(rec, V), (rec.family, rec.state.q, rec.params.B)
+        if i % 10 == 0:
+            assert hessian_signature(rec, V) == sig
+
+
+def test_signature_at_the_meeting_point_is_singular():
+    """The restricted Hessian of the Type II meeting point (a cusp) is
+    singular: the signature is (0, 0, 4) there instead of an error."""
+    from magsphere.atlas import B_CRITICAL, Q_CRITICAL
+
+    rec = type2(Q_CRITICAL, B_CRITICAL)[0]
+    V = cot_potential(rec.params)
+    assert _ref_hessian_signature(rec, V) == (0, 0, 4)
+    assert hessian_signature(rec, V) == (0, 0, 4)
+    assert linearize(rec, V).hessian_signature == (0, 0, 4)
+    x = np.stack([rec.state.as_array(), type2(1.8, 2.5)[0].state.as_array()], axis=-1)
+    params = identical_params(np.array([B_CRITICAL, 2.5]))
+    assert signature_arrays(x, params, V).tolist() == [[0, 0, 4], [4, 0, 0]]
 
 
 def test_type2_boundaries_emanate_from_degenerate_point():
