@@ -395,13 +395,12 @@ def stability_grid(
 ) -> AtlasGrid:
     """Classified closed-form equilibria over a (q, B) grid (identical
     particles).  Cell entries are (family, H, C, class) tuples; records
-    above the residual cut are left out."""
+    that fail the residual cut are left out."""
     if q_axis is None:
         q_axis = default_q_axis(120)
     if B_axis is None:
         B_axis = default_B_axis(60)
-    grid = closed_form_grid(q_axis, B_axis, families, tol)
-    grid = grid.take(~(grid.residual > tol.record_residual))
+    grid = closed_form_grid(q_axis, B_axis, families, tol).cut(tol)
     params = identical_params(grid.B)
     _, _, classes = stability_arrays(grid.states(), params, cot_potential(params), tol)
     cells = [{"q": float(q), "B": float(B), "entries": []} for q in q_axis for B in B_axis]

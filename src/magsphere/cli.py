@@ -34,6 +34,7 @@ from .core import (
     table_potential,
 )
 from .equilibria import (
+    GRID_FAMILIES,
     TYPE1_BAND,
     RightAngleFamily,
     closed_form_grid,
@@ -42,7 +43,7 @@ from .equilibria import (
 )
 from .fullspace import full_integrate, lift_state
 from .reduced import integrate
-from .stability import stability_csv, stability_rows
+from .stability import stability_csv, stability_rows, type1_boundary
 
 
 class ConfigError(MagsphereError):
@@ -72,7 +73,7 @@ class GridSpec:
         return GridSpec(lo, hi, n)
 
     def __str__(self) -> str:
-        return f"{self.lo:g}:{self.hi:g}:{self.n}"
+        return f"{self.lo!r}:{self.hi!r}:{self.n}"
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,20 @@ def cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
+def _grid_families(config: RunConfig) -> str:
+    """The closed_form_grid `families` value of `--family`."""
+    families = "both" if config.family == "all" else config.family
+    if families not in GRID_FAMILIES:
+        raise ConfigError(f"unknown family {config.family!r}")
+    return families
+
+
+def _require_identical_cot(config: RunConfig) -> None:
+    """Refuse what the closed-form grid commands do not compute."""
+    if config.potential != "cot" or not config.params().identical:
+        raise ConfigError(f"{config.command} supports identical particles with V = cot only")
+
+
 def cmd_equilibria(config: RunConfig) -> int:
     params = config.params()
     V = config.make_potential()
@@ -187,18 +202,17 @@ def cmd_equilibria(config: RunConfig) -> int:
             payload = [r.to_dict() for r in result]
         _write(config.out, json.dumps(payload, indent=1))
         return 0
+    families, tol = _grid_families(config), config.tolerances()
     qs = config.grid_q.axis() if config.grid_q else [config.q]
     if qs[0] is None:
         raise ConfigError("equilibria needs --q or --grid-q")
     Bs = config.grid_B.axis() if config.grid_B else [params.B]
     if params.identical and config.potential == "cot":
-        families = "both" if config.family == "all" else config.family
-        grid = closed_form_grid(qs, Bs, families, config.tolerances())
+        grid = closed_form_grid(qs, Bs, families, tol).cut(tol)
         # the grid lists cells q outer; the output lists them B outer
         records = grid.take(np.argsort(grid.cell % len(Bs), kind="stable")).records()
     else:
         records = []
-        tol = config.tolerances()
         for B in Bs:
             p = dataclasses.replace(params, B=float(B))
             for q in qs:
@@ -211,13 +225,10 @@ def cmd_equilibria(config: RunConfig) -> int:
 def cmd_stability(config: RunConfig) -> int:
     if not (config.grid_q and config.grid_B):
         raise ConfigError("stability needs --grid-q and --grid-B")
-    if not config.params().identical:
-        raise ConfigError("grid classification supports identical particles only")
-    families = "both" if config.family == "all" else config.family
-    tol = config.tolerances()
+    _require_identical_cot(config)
+    families, tol = _grid_families(config), config.tolerances()
     grid = closed_form_grid(config.grid_q.axis(), config.grid_B.axis(), families, tol)
-    # the residual cut of atlas.stability_grid: such records are dropped, not fatal
-    kept = grid.take(~(grid.residual > tol.record_residual))
+    kept = grid.cut(tol)
     sys.stderr.write(
         f"dropped {grid.residual.size - kept.residual.size} records with residual above "
         f"{tol.record_residual:g}\n"
@@ -228,6 +239,7 @@ def cmd_stability(config: RunConfig) -> int:
 
 
 def cmd_atlas(config: RunConfig) -> int:
+    _require_identical_cot(config)
     md = {"diagram": config.diagram, "B": config.B, "potential": config.potential}
     if config.diagram == "threshold":
         qs = config.grid_q.axis() if config.grid_q else atlas.default_q_axis(200)
@@ -236,8 +248,6 @@ def cmd_atlas(config: RunConfig) -> int:
         md["min_q"], md["min_B"] = curve.minimum
         _write(config.out, atlas.csv_with_metadata(("q", "B"), rows, md))
     elif config.diagram == "type1-stability":
-        from .stability import type1_boundary
-
         qs = config.grid_q.axis() if config.grid_q else np.linspace(0.05, np.pi / 2 - 0.01, 200)
         rows = [(q, type1_boundary(q)) for q in qs]
         _write(config.out, atlas.csv_with_metadata(("q", "B"), rows, md))

@@ -22,7 +22,7 @@ Q_EDGE = 1e-8
 class Tolerances:
     """Central numerics policy.  All solvers and classifiers read from here."""
 
-    record_residual: float = 1e-9  # a record above this is rejected
+    record_residual: float = 1e-9  # a record is kept only below this
     eigenvalue: float = 1e-8       # eigenvalue comparison / zero-mode detection
     classify: float = 1e-10        # degeneracy band for the (a, b) stability test
     degenerate: float = 1e-12      # discriminant magnitude treated as a double root

@@ -29,7 +29,7 @@ from .core import (
     cot_potential,
     identical_params,
 )
-from .reduced import casimir_array, hamiltonian_array, rhs
+from .reduced import casimir_array, derivative_matrix, hamiltonian_array, rhs
 
 RIGHT_ANGLE_BAND = 1e-6
 TYPE1_BAND = 1e-4        # grid sweeps skip the side-by-side family this close to pi/2
@@ -91,6 +91,12 @@ def equilibrium_values(x, params: SystemParams, V: Potential):
     """H, C and the residual max|rhs| of a state x of shape (5,) or (5, ...)."""
     residual = np.max(np.abs(rhs(x, params, V)), axis=0)
     return hamiltonian_array(x, params, V), casimir_array(x, params), residual
+
+
+def passes_residual_cut(residual, tol: Tolerances = DEFAULT_TOL):
+    """The record residual cut on one residual or an array: kept iff below
+    tol.record_residual, so a residual at the cut or NaN is dropped."""
+    return np.asarray(residual) < tol.record_residual
 
 
 def make_record(
@@ -185,31 +191,6 @@ def type2_arrays(q, B, tol: Tolerances = DEFAULT_TOL) -> ClosedForms:
     return _closed_forms(m2, m3, q, B, count)
 
 
-def _records(forms: ClosedForms, families, q: float, B: float) -> List[EquilibriumRecord]:
-    """Records of a one-cell kernel result, in row order."""
-    count = int(forms.count[0])
-    return [
-        _record(
-            fam, forms.m2[i, 0], forms.m3[i, 0], q, identical_params(B),
-            forms.H[i, 0], forms.C[i, 0], forms.residual[i, 0], count == 1,
-        )
-        for i, fam in enumerate(families[:count])
-    ]
-
-
-def type1(q: float, B: float) -> tuple[EquilibriumRecord, EquilibriumRecord]:
-    """The two closed-form side-by-side equilibria (exchange-related pair)."""
-    if abs(q - np.pi / 2) < RIGHT_ANGLE_BAND:
-        raise NearRightAngle("the side-by-side family does not exist at q = pi/2")
-    plus, minus = _records(type1_arrays([q], [B]), TYPE1_FAMILIES, q, B)
-    return plus, minus
-
-
-def type2(q: float, B: float, tol: Tolerances = DEFAULT_TOL) -> List[EquilibriumRecord]:
-    """Closed-form isosceles equilibria: 2 above the threshold, 1 on it, 0 below."""
-    return _records(type2_arrays([q], [B], tol), TYPE2_FAMILIES, q, B)
-
-
 @dataclass(frozen=True)
 class GridEquilibria:
     """Closed-form equilibria over a (q, B) grid: one entry per record that
@@ -236,6 +217,10 @@ class GridEquilibria:
         """The entries picked by an index array or boolean mask."""
         return GridEquilibria(*(getattr(self, f.name)[keep] for f in fields(self)))
 
+    def cut(self, tol: Tolerances = DEFAULT_TOL) -> "GridEquilibria":
+        """The entries that pass the record residual cut."""
+        return self.take(passes_residual_cut(self.residual, tol))
+
     def records(self) -> List[EquilibriumRecord]:
         """The entries as records, in entry order."""
         cols = (self.m2, self.m3, self.q, self.B, self.H, self.C, self.residual, self.degenerate)
@@ -245,29 +230,13 @@ class GridEquilibria:
         ]
 
 
-def closed_form_grid(
-    q_axis,
-    B_axis,
-    families: str = "both",
-    tol: Tolerances = DEFAULT_TOL,
-) -> GridEquilibria:
-    """The closed-form records of every cell of q_axis x B_axis, from one
-    kernel call per family.  `families` is "both", "type1" or "type2" (any
-    other value selects none).  Type I is left out within TYPE1_BAND of
-    q = pi/2."""
-    q, B = (a.ravel() for a in np.meshgrid(q_axis, B_axis, indexing="ij"))
-    fams, parts = (), []
-    if families in ("both", "type1"):
-        away = np.abs(q - np.pi / 2) > TYPE1_BAND
-        fams += TYPE1_FAMILIES
-        parts.append(type1_arrays(q, B)._replace(count=np.where(away, 2, 0)))
-    if families in ("both", "type2"):
-        fams += TYPE2_FAMILIES
-        parts.append(type2_arrays(q, B, tol))
+def _entries(q, B, parts, families) -> GridEquilibria:
+    """The grid entries of closed-form kernel results `parts` over the cells
+    (q, B), 1-d arrays; `families` names the two rows of each part in turn."""
     empty = np.empty((0, q.size))
 
     def by_cell(rows):
-        """The parts' (2, cells) arrays stacked family after family, cells first."""
+        """The parts' (2, cells) arrays stacked part after part, cells first."""
         return np.concatenate(rows or [empty]).T
 
     cell, row = np.nonzero(by_cell([np.arange(2)[:, None] < f.count for f in parts]))
@@ -275,7 +244,7 @@ def closed_form_grid(
     degenerate = by_cell([np.broadcast_to(f.count == 1, f.m2.shape) for f in parts])
     return GridEquilibria(
         cell=cell,
-        family=np.array(fams, dtype=object)[row],
+        family=np.array(families, dtype=object)[row],
         q=q[cell],
         B=B[cell],
         m2=pick("m2"),
@@ -285,6 +254,51 @@ def closed_form_grid(
         residual=pick("residual"),
         degenerate=degenerate[cell, row],
     )
+
+
+def _one_cell(kernel, families, q: float, B: float, *args) -> List[EquilibriumRecord]:
+    """The records of a closed-form kernel on the one cell (q, B), in row order."""
+    q, B = np.array([q], dtype=float), np.array([B], dtype=float)
+    return _entries(q, B, [kernel(q, B, *args)], families).records()
+
+
+def type1(q: float, B: float) -> tuple[EquilibriumRecord, EquilibriumRecord]:
+    """The two closed-form side-by-side equilibria (exchange-related pair)."""
+    if abs(q - np.pi / 2) < RIGHT_ANGLE_BAND:
+        raise NearRightAngle("the side-by-side family does not exist at q = pi/2")
+    return tuple(_one_cell(type1_arrays, TYPE1_FAMILIES, q, B))
+
+
+def type2(q: float, B: float, tol: Tolerances = DEFAULT_TOL) -> List[EquilibriumRecord]:
+    """Closed-form isosceles equilibria: 2 above the threshold, 1 on it, 0 below."""
+    return _one_cell(type2_arrays, TYPE2_FAMILIES, q, B, tol)
+
+
+GRID_FAMILIES = ("both", "type1", "type2")
+
+
+def closed_form_grid(
+    q_axis,
+    B_axis,
+    families: str = "both",
+    tol: Tolerances = DEFAULT_TOL,
+) -> GridEquilibria:
+    """The closed-form records of every cell of q_axis x B_axis, from one
+    kernel call per family.  `families` is one of GRID_FAMILIES: "both",
+    "type1" or "type2"; any other value raises ValueError.  Type I is left
+    out within TYPE1_BAND of q = pi/2."""
+    if families not in GRID_FAMILIES:
+        raise ValueError(f"families must be one of {GRID_FAMILIES}, got {families!r}")
+    q, B = (a.ravel() for a in np.meshgrid(q_axis, B_axis, indexing="ij"))
+    fams, parts = (), []
+    if families != "type2":
+        away = np.abs(q - np.pi / 2) > TYPE1_BAND
+        fams += TYPE1_FAMILIES
+        parts.append(type1_arrays(q, B)._replace(count=np.where(away, 2, 0)))
+    if families != "type1":
+        fams += TYPE2_FAMILIES
+        parts.append(type2_arrays(q, B, tol))
+    return _entries(q, B, parts, fams)
 
 
 def casimir_on_type1(q: float, B: float) -> float:
@@ -329,7 +343,8 @@ def admissibility(m3: float, q: float, params: SystemParams) -> float:
     )
 
 
-def m2_from_m3(m3: float, sign: float, q: float, params: SystemParams) -> float:
+def m2_from_m3(m3: float, sign, q: float, params: SystemParams):
+    """m2 on the branch `sign` (+1 or -1, or an array of them) of m1' = 0."""
     mu1, mu2, e1, B = params.mu1, params.mu2, params.e1, params.B
     s, c = np.sin(q), np.cos(q)
     cot2 = (c / s) ** 2
@@ -342,47 +357,33 @@ def m2_from_m3(m3: float, sign: float, q: float, params: SystemParams) -> float:
     )
 
 
-def _equilibrium_conditions(m2, m3, q, params, V):
-    """(m1', p') components of the reduced field at m1 = p = 0."""
-    x = np.array([0.0, m2, m3, q, 0.0], dtype=np.result_type(m2, m3, float))
-    f = rhs(x, params, V)
-    return np.array([f[0], f[4]])
+def _branch(m3: float, q: float, params: SystemParams, V: Potential) -> float:
+    """The m2 of the m2_from_m3 sign branch that the quartic root m3
+    satisfies: the one with the smaller (m1', p') residual."""
+    m2 = m2_from_m3(m3, np.array([1.0, -1.0]), q, params)
+    x = np.stack([np.zeros(2), m2, np.full(2, m3), np.full(2, q), np.zeros(2)])
+    F = np.max(np.abs(rhs(x, params, V)[[0, 4]]), axis=0)
+    return float(m2[np.argmin(F)])
 
 
 def _polish(m2, m3, q, params, V, iters=30, tol=1e-13):
-    """2D Newton on the two nontrivial equilibrium conditions."""
-    h = 1e-200
-    z = np.array([m2, m3], dtype=float)
-    for _ in range(iters):
-        F = _equilibrium_conditions(z[0], z[1], q, params, V)
-        if np.max(np.abs(F)) < tol:
+    """Newton in (m2, m3) on the two nontrivial equilibrium conditions
+    (m1', p') = 0, with the (m1', p') x (m2, m3) block of the Jacobian of
+    rhs as its derivative.  None unless it ends within 1e-10 of zero."""
+    f = lambda z: rhs(z, params, V)
+    x = np.array([0.0, m2, m3, q, 0.0])
+    for i in range(iters + 1):
+        F = f(x)[[0, 4]]
+        if np.max(np.abs(F)) < tol or i == iters:
             break
-        if V.analytic:
-            J = np.empty((2, 2))
-            J[:, 0] = _equilibrium_conditions(z[0] + 1j * h, z[1], q, params, V).imag / h
-            J[:, 1] = _equilibrium_conditions(z[0], z[1] + 1j * h, q, params, V).imag / h
-        else:
-            d = 1e-7
-            J = np.empty((2, 2))
-            J[:, 0] = (
-                _equilibrium_conditions(z[0] + d, z[1], q, params, V)
-                - _equilibrium_conditions(z[0] - d, z[1], q, params, V)
-            ) / (2 * d)
-            J[:, 1] = (
-                _equilibrium_conditions(z[0], z[1] + d, q, params, V)
-                - _equilibrium_conditions(z[0], z[1] - d, q, params, V)
-            ) / (2 * d)
+        J = derivative_matrix(f, x, V.analytic)[np.ix_((0, 4), (1, 2))]
         try:
-            step = np.linalg.solve(J, F)
+            x[1:3] -= np.linalg.solve(J, F)
         except np.linalg.LinAlgError:
             return None
-        z = z - step
-        if not np.all(np.isfinite(z)):
+        if not np.all(np.isfinite(x[1:3])):
             return None
-    F = _equilibrium_conditions(z[0], z[1], q, params, V)
-    if np.max(np.abs(F)) > 1e-10:
-        return None
-    return z
+    return x[1:3] if np.max(np.abs(F)) <= 1e-10 else None
 
 
 def solve_general(
@@ -391,46 +392,37 @@ def solve_general(
     V: Potential,
     tol: Tolerances = DEFAULT_TOL,
 ) -> List[EquilibriumRecord]:
-    """All relative equilibria at distance q for arbitrary masses and charges.
+    """All relative equilibria at distance q for arbitrary masses and
+    charges, in the order of the quartic's roots from np.roots.
 
-    Roots of the quartic (companion-matrix eigenvalues) seed a Newton polish
-    of the un-squared system; inadmissible and spurious roots are discarded.
-    At least one record is always returned for V'(q) != 0 (an existence
-    theorem backs this; violation raises NoAdmissibleRoot).
+    Each admissible real root seeds a Newton polish of the un-squared system
+    on the sign branch it satisfies.  At least one record is always returned
+    for V'(q) != 0 (an existence theorem backs this; violation raises
+    NoAdmissibleRoot).
     """
     if abs(q - np.pi / 2) < RIGHT_ANGLE_BAND:
         raise NearRightAngle("m2 is indeterminate at q = pi/2; use solve_right_angle")
     if V.derivative(q) == 0:
         raise DomainError("equilibrium theory requires V'(q) != 0")
 
-    coeffs = quartic_coefficients(q, params, V)
-    roots = np.roots(coeffs)
+    roots = np.roots(quartic_coefficients(q, params, V))
     scale = max(1.0, np.max(np.abs(roots)))
     found: list[tuple[float, float]] = []
     for r in roots:
-        if abs(r.imag) > 1e-8 * scale:
-            continue
         m3 = float(r.real)
-        A = admissibility(m3, q, params)
-        if A < -1e-12:
+        if abs(r.imag) > 1e-8 * scale or admissibility(m3, q, params) < -1e-12:
             continue
-        for sign in (+1.0, -1.0):
-            m2 = m2_from_m3(m3, sign, q, params)
-            z = _polish(m2, m3, q, params, V)
-            if z is None:
-                continue
-            if admissibility(z[1], q, params) < -1e-12:
-                continue
-            dup = any(
-                abs(z[0] - u) < 1e-7 * max(1, abs(u)) and abs(z[1] - v) < 1e-7 * max(1, abs(v))
-                for u, v in found
-            )
-            if not dup:
-                found.append((float(z[0]), float(z[1])))
-    records = [
-        make_record(Family.General, m2, m3, q, params, V) for m2, m3 in found
-    ]
-    records = [r for r in records if r.residual < tol.record_residual]
+        z = _polish(_branch(m3, q, params, V), m3, q, params, V)
+        if z is None or admissibility(z[1], q, params) < -1e-12:
+            continue
+        dup = any(
+            abs(z[0] - u) < 1e-7 * max(1, abs(u)) and abs(z[1] - v) < 1e-7 * max(1, abs(v))
+            for u, v in found
+        )
+        if not dup:
+            found.append((float(z[0]), float(z[1])))
+    records = [make_record(Family.General, m2, m3, q, params, V) for m2, m3 in found]
+    records = [r for r in records if passes_residual_cut(r.residual, tol)]
     if not records:
         raise NoAdmissibleRoot(
             f"no admissible equilibrium found at q={q}; this contradicts the existence theorem"

@@ -1,7 +1,8 @@
 """The reduced Poisson system on (m1, m2, m3, q, p).
 
-Hamiltonian, Casimir, bracket matrix, equations of motion and a fixed-step
-integrator with invariant monitoring.  The bracket table is normative; a
+Hamiltonian, Casimir, bracket matrix, equations of motion, the one
+derivative-matrix helper (complex step or central differences) and a
+fixed-step integrator with invariant monitoring.  The bracket table is normative; a
 test pins the identity rhs = sigma . grad(H).
 """
 
@@ -138,6 +139,30 @@ def rhs(x, params: SystemParams, V: Potential):
 def residual(x, params: SystemParams, V: Potential) -> float:
     """Max-norm of the reduced vector field; zero at relative equilibria."""
     return float(np.max(np.abs(rhs(np.asarray(x, dtype=float), params, V))))
+
+
+def derivative_matrix(f, x, analytic: bool) -> np.ndarray:
+    """df/dx at states x of shape (5, ...), returned with shape (..., 5, 5).
+
+    Complex step (5 calls of f) when f accepts complex input, otherwise
+    central differences (10 calls).  f maps (5, ...) to (5, ...).
+    """
+    x = np.asarray(x, dtype=float)
+    last = (*range(1, x.ndim), 0)          # puts the component axis of f(x) last
+    D = np.empty(x.shape[1:] + (5, 5))
+    if analytic:
+        h = 1e-200
+        for j in range(5):
+            z = x.astype(complex)
+            z[j] += 1j * h
+            D[..., j] = f(z).imag.transpose(last) / h
+    else:
+        d = 1e-6
+        for j in range(5):
+            e = np.zeros_like(x)
+            e[j] = d
+            D[..., j] = (f(x + e) - f(x - e)).transpose(last) / (2 * d)
+    return D
 
 
 @dataclass(frozen=True)

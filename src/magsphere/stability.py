@@ -25,8 +25,8 @@ from .core import (
     Tolerances,
     identical_params,
 )
-from .equilibria import EquilibriumRecord, GridEquilibria
-from .reduced import grad_casimir, grad_hamiltonian, rhs
+from .equilibria import EquilibriumRecord, GridEquilibria, passes_residual_cut
+from .reduced import derivative_matrix, grad_casimir, grad_hamiltonian, rhs
 
 
 class Classification(Enum):
@@ -42,30 +42,6 @@ class LinearizationReport:
     eigenvalues: np.ndarray
     classification: Classification
     hessian_signature: tuple[int, int, int]
-
-
-def derivative_matrix(f, x, analytic: bool) -> np.ndarray:
-    """df/dx at states x of shape (5, ...), returned with shape (..., 5, 5).
-
-    Complex step (5 calls of f) when f accepts complex input, otherwise
-    central differences (10 calls).  f maps (5, ...) to (5, ...).
-    """
-    x = np.asarray(x, dtype=float)
-    last = (*range(1, x.ndim), 0)          # puts the component axis of f(x) last
-    D = np.empty(x.shape[1:] + (5, 5))
-    if analytic:
-        h = 1e-200
-        for j in range(5):
-            z = x.astype(complex)
-            z[j] += 1j * h
-            D[..., j] = f(z).imag.transpose(last) / h
-    else:
-        d = 1e-6
-        for j in range(5):
-            e = np.zeros_like(x)
-            e[j] = d
-            D[..., j] = (f(x + e) - f(x - e)).transpose(last) / (2 * d)
-    return D
 
 
 def jacobian_matrix(x, params, V: Potential) -> np.ndarray:
@@ -130,11 +106,10 @@ def stability_arrays(x, params, V: Potential, tol: Tolerances = DEFAULT_TOL):
     return a, b, classify(a, b, tol.classify)
 
 
-def _check_residual(record: EquilibriumRecord, tol: Tolerances) -> None:
-    if record.residual > tol.record_residual:
-        raise ResidualTooLarge(
-            f"record residual {record.residual} exceeds {tol.record_residual}"
-        )
+def _check_residual(residual, tol: Tolerances) -> None:
+    """Raise ResidualTooLarge unless every residual passes the record cut."""
+    if not np.all(passes_residual_cut(residual, tol)):
+        raise ResidualTooLarge(f"record residual {np.max(residual)} fails the cut {tol.record_residual}")
 
 
 def signature_arrays(x, params, V: Potential, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -176,7 +151,7 @@ def hessian_signature(
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[int, int, int]:
     """`signature_arrays` at one residual-checked equilibrium."""
-    _check_residual(record, tol)
+    _check_residual(record.residual, tol)
     x = record.state.as_array()
     return tuple(signature_arrays(x, record.params, V, tol).tolist())
 
@@ -188,7 +163,7 @@ def linearize(
     with_hessian: bool = True,
 ) -> LinearizationReport:
     """Full linear analysis at a residual-checked equilibrium."""
-    _check_residual(record, tol)
+    _check_residual(record.residual, tol)
     x = record.state.as_array()
     J = jacobian_matrix(x, record.params, V)
     a, b = char_coefficients(J)
@@ -228,11 +203,9 @@ def stability_rows(
 ) -> List[dict]:
     """Rows of `stability_csv`, one per entry of a closed-form grid: (a, b)
     and class from one batched Jacobian, the Hessian signature from one
-    batched Hessian.  Raises ResidualTooLarge if an entry is above the
+    batched Hessian.  Raises ResidualTooLarge if an entry fails the
     residual cut."""
-    worst = grid.residual.max(initial=0.0)
-    if worst > tol.record_residual:
-        raise ResidualTooLarge(f"record residual {worst} exceeds {tol.record_residual}")
+    _check_residual(grid.residual, tol)
     x = grid.states()
     params = identical_params(grid.B)
     a, b, classes = stability_arrays(x, params, V, tol)

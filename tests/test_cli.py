@@ -22,11 +22,12 @@ def test_grid_spec_parsing():
 
 
 def test_run_config_round_trip():
-    cfg = parse_config(
-        ["equilibria", "--B", "2.5", "--grid-q", "0.5:2.5:10", "--family", "type1"]
-    )
-    again = RunConfig.from_dict(json.loads(cfg.to_json()))
-    assert again == cfg
+    for grid_q in ("0.5:2.5:10", "0.5:2.641592653589793:3"):
+        cfg = parse_config(
+            ["equilibria", "--B", "2.5", "--grid-q", grid_q, "--family", "type1"]
+        )
+        again = RunConfig.from_dict(json.loads(cfg.to_json()))
+        assert again == cfg
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -180,6 +181,36 @@ def test_atlas_unknown_diagram():
     assert main(["atlas", "--diagram", "nope"]) == 1
 
 
+REFUSED = {
+    "equilibria_family": ["equilibria", "--B", "2.5", "--q", "1.0", "--family", "typo"],
+    "stability_family": ["stability", "--grid-q", "0.5:2.5:3", "--grid-B", "1:4:2",
+                         "--family", "typo"],
+    "stability_right_angle": ["stability", "--grid-q", "0.5:2.5:3", "--grid-B", "1:4:2",
+                              "--family", "right-angle"],
+    "stability_potential": ["stability", "--grid-q", "0.5:2.5:3", "--grid-B", "1:4:2",
+                            "--potential", "custom-table"],
+    "atlas_potential": ["atlas", "--diagram", "threshold", "--potential", "custom-table"],
+    "atlas_masses": ["atlas", "--diagram", "ec", "--B", "2.5", "--mu1", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_inputs_a_command_does_not_compute_are_config_errors(tmp_path, capsys, argv, source):
+    """A family or potential that a command does not compute, and unequal
+    particles on `atlas`, exit 1 with a config error and write nothing,
+    given as flags or, for the offending value, in a --config file."""
+    out = tmp_path / "out"
+    if source == "config":
+        key = argv[-2].lstrip("-")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: float(argv[-1]) if key == "mu1" else argv[-1]}))
+        argv = argv[:-2] + ["--config", str(cfg)]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 def test_custom_table_potential(tmp_path):
     qs = np.linspace(0.2, 2.9, 60)
     table = tmp_path / "pot.csv"
@@ -227,6 +258,18 @@ def test_stability_tol_sets_the_residual_cut(tmp_path, capsys):
     kept = [r for r in rows if r.startswith("3.09365037743133,9.18891038527942,TypeII+,")]
     assert len(kept) == 1 and kept[0].split(",")[5] == "LinearlyStable"
     assert "dropped 0 records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol, n", [(None, 15), ("1e-5", 16)])
+def test_closed_form_equilibria_apply_the_residual_cut(tmp_path, tol, n):
+    """The identical-particle path of `equilibria` drops the Type II+ record
+    above the default cut, as `stability` does, and keeps it under --tol."""
+    out = tmp_path / "eq.json"
+    flags = [] if tol is None else ["--tol", tol]
+    assert main(["equilibria", *CUT_GRID, *flags, "--out", str(out)]) == 0
+    records = json.loads(out.read_text())
+    assert len(records) == n
+    assert all(r["residual"] < float(tol or 1e-9) for r in records)
 
 
 def test_equilibria_tol_sets_the_residual_cut(tmp_path):

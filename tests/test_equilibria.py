@@ -1,17 +1,29 @@
+import json
+
 import numpy as np
 import pytest
 
+from magsphere import atlas, cli, equilibria
 from magsphere.core import (
+    DEFAULT_TOL,
     DomainError,
     NearRightAngle,
+    NoAdmissibleRoot,
+    ResidualTooLarge,
     SystemParams,
     cot_potential,
     identical_params,
+    table_potential,
 )
 from magsphere.equilibria import (
     Family,
     RightAngleFamily,
+    admissibility,
     casimir_on_type1,
+    closed_form_grid,
+    m2_from_m3,
+    make_record,
+    quartic_coefficients,
     right_angle_discriminant,
     solve_general,
     solve_right_angle,
@@ -21,7 +33,8 @@ from magsphere.equilibria import (
     type2_arrays,
     type2_threshold,
 )
-from magsphere.reduced import residual
+from magsphere.reduced import residual, rhs
+from magsphere.stability import hessian_signature, linearize, stability_rows
 
 
 def test_type1_records_are_equilibria():
@@ -191,3 +204,172 @@ def test_scalar_closed_forms_equal_the_array_kernels():
                 assert got == want, (q[i], B[i], rec.family)
                 assert rec.degenerate == (forms.count[i] == 1)
         assert np.all(np.isnan(two.m2[two.count[i]:, i]))
+
+
+def test_closed_form_grid_rejects_an_unknown_family():
+    with pytest.raises(ValueError):
+        closed_form_grid([1.0], [2.5], "typo")
+
+
+def _reference_polish(m2, m3, q, params, V, iters=30, tol=1e-13):
+    """Newton on (m1', p') = 0 in (m2, m3) with a hand-written 2x2 Jacobian
+    (complex step, or central differences with step 1e-7)."""
+
+    def F(m2, m3):
+        x = np.array([0.0, m2, m3, q, 0.0], dtype=np.result_type(m2, m3, float))
+        return rhs(x, params, V)[[0, 4]]
+
+    z = np.array([m2, m3], dtype=float)
+    for _ in range(iters):
+        Fz = F(*z)
+        if np.max(np.abs(Fz)) < tol:
+            break
+        if V.analytic:
+            h = 1e-200
+            dm2, dm3 = F(z[0] + 1j * h, z[1]).imag, F(z[0], z[1] + 1j * h).imag
+            J = np.column_stack([dm2, dm3]) / h
+        else:
+            d = 1e-7
+            dm2 = F(z[0] + d, z[1]) - F(z[0] - d, z[1])
+            dm3 = F(z[0], z[1] + d) - F(z[0], z[1] - d)
+            J = np.column_stack([dm2, dm3]) / (2 * d)
+        try:
+            z = z - np.linalg.solve(J, Fz)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(z)):
+            return None
+    return z if np.max(np.abs(F(*z))) <= 1e-10 else None
+
+
+def _reference_solve_general(q, params, V, tol=DEFAULT_TOL):
+    """The two-branch loop: both m2_from_m3 signs of every admissible real
+    quartic root are polished; duplicates and records at or above the
+    residual cut are dropped."""
+    roots = np.roots(quartic_coefficients(q, params, V))
+    scale = max(1.0, np.max(np.abs(roots)))
+    found = []
+    for r in roots:
+        m3 = float(r.real)
+        if abs(r.imag) > 1e-8 * scale or admissibility(m3, q, params) < -1e-12:
+            continue
+        for sign in (1.0, -1.0):
+            z = _reference_polish(m2_from_m3(m3, sign, q, params), m3, q, params, V)
+            if z is None or admissibility(z[1], q, params) < -1e-12:
+                continue
+            close = lambda a, b: abs(a - b) < 1e-7 * max(1, abs(b))
+            if not any(close(z[0], u) and close(z[1], v) for u, v in found):
+                found.append((float(z[0]), float(z[1])))
+    records = [make_record(Family.General, m2, m3, q, params, V) for m2, m3 in found]
+    return [r for r in records if r.residual < tol.record_residual]
+
+
+def _criterion_12_systems():
+    """The 500 (q, params) draws of acceptance criterion 12."""
+    rng = np.random.default_rng(12)
+    out = []
+    while len(out) < 500:
+        q = rng.uniform(0.25, np.pi - 0.25)
+        if abs(q - np.pi / 2) < 0.05:
+            continue
+        params = SystemParams(
+            rng.uniform(0.5, 3),
+            rng.uniform(0.5, 3),
+            rng.choice([-1, 1]) * rng.uniform(0.5, 2),
+            rng.choice([-1, 1]) * rng.uniform(0.5, 2),
+            rng.uniform(0.1, 5),
+        )
+        out.append((q, params))
+    return out
+
+
+def _criterion_02_systems():
+    """The identical-particle (q, B) grid of acceptance criterion 02."""
+    grid_q = np.linspace(0.2, np.pi - 0.2, 50)
+    qs = grid_q[np.abs(grid_q - np.pi / 2) > 0.05][::3]
+    return [(q, identical_params(B)) for q in qs for B in np.linspace(0.1, 5.0, 50)[::3]]
+
+
+def _table_cot_plus_linear():
+    """V = cot q + q/2 tabulated on 256 nodes."""
+    nodes = np.linspace(0.1, np.pi - 0.1, 256)
+    return table_potential(nodes, 1 / np.tan(nodes) + nodes / 2)
+
+
+@pytest.mark.parametrize("case", ["criterion12_cot", "criterion12_table", "criterion02"])
+def test_solve_general_polishes_one_branch_per_root(case):
+    """solve_general polishes only the sign branch each root satisfies and
+    finds the records of the two-branch loop (same count, same records as a
+    set to 1e-12 relative in m2 and m3), in the order of np.roots."""
+    systems = _criterion_02_systems() if case == "criterion02" else _criterion_12_systems()
+    table = _table_cot_plus_linear() if case == "criterion12_table" else None
+    for q, params in systems:
+        V = table or cot_potential(params)
+        got = solve_general(q, params, V)
+        want = _reference_solve_general(q, params, V)
+        assert len(got) == len(want), (q, params)
+        for w in want:
+            err = min(
+                max(abs(g.state.m2 - w.state.m2) / abs(w.state.m2),
+                    abs(g.state.m3 - w.state.m3) / abs(w.state.m3))
+                for g in got
+            )
+            assert err <= 1e-12, (q, params, err)
+        roots = np.roots(quartic_coefficients(q, params, V))
+        seeds = [int(np.argmin(np.abs(roots - g.state.m3))) for g in got]
+        assert seeds == sorted(set(seeds)), (q, params, seeds)
+
+
+
+def _kept(fn, exc) -> bool:
+    """False if fn raises exc, True if it returns."""
+    try:
+        fn()
+    except exc:
+        return False
+    return True
+
+
+def _cli_outputs(tmp_path, *argv) -> int:
+    """Records (equilibria) or rows (stability) written by one CLI run."""
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--B", "2.5", "--family", "type1", "--out", str(out)]) == 0
+    text = out.read_text()
+    return len(json.loads(text)) if argv[0] == "equilibria" else text.count("\n") - 1
+
+
+_V = cot_potential(identical_params(2.5))
+_GENERAL = SystemParams(1.3, 0.7, 1.0, -2.0, 0.9)
+
+# Every residual check, each on records built through
+# equilibria.equilibrium_values: True iff the records are kept.
+CUT_CHECKS = {
+    "atlas.stability_grid": lambda tmp: atlas.stability_grid([1.0], [2.5]).cells[0]["entries"],
+    "cmd_stability": lambda tmp: _cli_outputs(
+        tmp, "stability", "--grid-q", "1:1.2:2", "--grid-B", "2.5:2.6:2") == 8,
+    "cmd_equilibria": lambda tmp: _cli_outputs(tmp, "equilibria", "--q", "1.0") == 2,
+    "stability_rows": lambda tmp: _kept(
+        lambda: stability_rows(closed_form_grid([1.0], [2.5], "type1"), _V), ResidualTooLarge),
+    "linearize": lambda tmp: _kept(lambda: linearize(type1(1.0, 2.5)[0], _V), ResidualTooLarge),
+    "hessian_signature": lambda tmp: _kept(
+        lambda: hessian_signature(type1(1.0, 2.5)[0], _V), ResidualTooLarge),
+    "solve_general": lambda tmp: _kept(
+        lambda: solve_general(1.2, _GENERAL, cot_potential(_GENERAL)), NoAdmissibleRoot),
+}
+CUT = DEFAULT_TOL.record_residual
+
+
+@pytest.mark.parametrize("residual", [np.nextafter(CUT, 0.0), CUT, np.nan],
+                         ids=["just_below", "at_cut", "nan"])
+@pytest.mark.parametrize("check", CUT_CHECKS)
+def test_every_residual_check_applies_one_cut(monkeypatch, tmp_path, check, residual):
+    """Each check keeps records whose residual is just below the cut and
+    drops or rejects them exactly at the cut and with a NaN residual."""
+    values = equilibria.equilibrium_values
+
+    def injected(x, params, V):
+        H, C, res = values(x, params, V)
+        return H, C, np.full(np.shape(res), residual)
+
+    monkeypatch.setattr(equilibria, "equilibrium_values", injected)
+    assert bool(CUT_CHECKS[check](tmp_path)) == (residual < CUT)

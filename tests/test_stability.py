@@ -19,12 +19,11 @@ from magsphere.equilibria import (
     type2,
     type2_threshold,
 )
-from magsphere.reduced import grad_casimir, grad_hamiltonian, rhs
+from magsphere.reduced import derivative_matrix, grad_casimir, grad_hamiltonian, rhs
 from magsphere.stability import (
     Classification,
     char_coefficients,
     classify,
-    derivative_matrix,
     hessian_signature,
     jacobian_matrix,
     linearize,
