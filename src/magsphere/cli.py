@@ -192,22 +192,26 @@ def _require_identical_cot(config: RunConfig) -> None:
 
 
 def cmd_equilibria(config: RunConfig) -> int:
-    params = config.params()
+    params, tol = config.params(), config.tolerances()
+    closed_form = params.identical and config.potential == "cot"
+    if config.family in ("type1", "type2") and not closed_form:
+        raise ConfigError(f"--family {config.family} selects closed-form equilibria, "
+                          "which exist for identical particles with V = cot only")
     V = config.make_potential()
     if config.family == "right-angle":
-        result = solve_right_angle(params, V)
+        result = solve_right_angle(params, V, tol)
         if isinstance(result, RightAngleFamily):
             payload = {"family": "RightAngleFamily", "product": result.product}
         else:
             payload = [r.to_dict() for r in result]
         _write(config.out, json.dumps(payload, indent=1))
         return 0
-    families, tol = _grid_families(config), config.tolerances()
+    families = _grid_families(config)
     qs = config.grid_q.axis() if config.grid_q else [config.q]
     if qs[0] is None:
         raise ConfigError("equilibria needs --q or --grid-q")
     Bs = config.grid_B.axis() if config.grid_B else [params.B]
-    if params.identical and config.potential == "cot":
+    if closed_form:
         grid = closed_form_grid(qs, Bs, families, tol).cut(tol)
         # the grid lists cells q outer; the output lists them B outer
         records = grid.take(np.argsort(grid.cell % len(Bs), kind="stable")).records()

@@ -8,6 +8,8 @@ conjugate momentum.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -148,38 +150,44 @@ def step_count(t_end: float, dt: float) -> int:
     return n
 
 
+def mathlib(x):
+    """`math` for a real scalar x (numpy float64 included), else numpy: the
+    kernels' sin, cos and sqrt, so one source serves floats and arrays."""
+    return math if isinstance(x, float) else np
+
+
 def rk4(f, x0, dt: float, n_steps: int, project=None, guard=None) -> np.ndarray:
-    """Classical fixed-step RK4 for x' = f(x); returns the states, shape
-    (n_steps + 1,) + x0.shape, starting with x0.
+    """Classical fixed-step RK4 for x' = f(x) from one state x0, carried as
+    a tuple of floats that f and `project` take and return; returns the
+    states, shape (n_steps + 1, len(x0)), starting with x0.
 
     `project`, if given, maps each stage input and each new state back onto
     the constraint set (projection method, Hairer-Lubich-Wanner IV.4).  Each
     new state is checked for finiteness (NonFiniteState) and then handed to
     `guard(x, t)`, which raises if x has left the caller's domain.
     """
-    x = np.asarray(x0, dtype=float)
-    states = np.empty((n_steps + 1,) + x.shape)
-    states[0] = x
-    if project is None:
-        project = _identity
+    x = tuple(np.asarray(x0, dtype=float).tolist())
+    states = array("d", x)              # 8 bytes a component, no float objects kept
+    project = project or (lambda x: x)
     half = 0.5 * dt
     sixth = dt / 6.0
     for i in range(1, n_steps + 1):
-        k1 = f(x)
-        k2 = f(project(x + half * k1))
-        k3 = f(project(x + half * k2))
-        k4 = f(project(x + dt * k3))
-        x = project(x + sixth * (k1 + 2 * k2 + 2 * k3 + k4))
-        if not np.isfinite(x).all():
+        try:
+            k1 = f(x)
+            k2 = f(project(tuple(a + half * b for a, b in zip(x, k1))))
+            k3 = f(project(tuple(a + half * b for a, b in zip(x, k2))))
+            k4 = f(project(tuple(a + dt * b for a, b in zip(x, k3))))
+            k = zip(x, k1, k2, k3, k4)
+            x = project(tuple(a + sixth * (b + 2 * c + 2 * d + e) for a, b, c, d, e in k))
+        except (ArithmeticError, ValueError) as exc:
+            # float arithmetic raises (x / 0, math.sin(inf)) where numpy gives inf or nan
+            raise NonFiniteState(f"non-finite state at t={i * dt}") from exc
+        if not all(map(math.isfinite, x)):
             raise NonFiniteState(f"non-finite state at t={i * dt}")
         if guard is not None:
             guard(x, i * dt)
-        states[i] = x
-    return states
-
-
-def _identity(x):
-    return x
+        states.extend(x)
+    return np.frombuffer(states).reshape(n_steps + 1, len(x))
 
 
 @dataclass(frozen=True)
@@ -212,10 +220,12 @@ def cot_potential(params: SystemParams) -> Potential:
     k = params.e1 * params.e2
 
     def value(q):
-        return k * np.cos(q) / np.sin(q)
+        m = mathlib(q)
+        return k * m.cos(q) / m.sin(q)
 
     def derivative(q):
-        return -k / np.sin(q) ** 2
+        s = mathlib(q).sin(q)
+        return -k / (s * s)
 
     return Potential(value, derivative, name="cot", analytic=True)
 

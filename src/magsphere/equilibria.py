@@ -362,8 +362,8 @@ def _branch(m3: float, q: float, params: SystemParams, V: Potential) -> float:
     satisfies: the one with the smaller (m1', p') residual."""
     m2 = m2_from_m3(m3, np.array([1.0, -1.0]), q, params)
     x = np.stack([np.zeros(2), m2, np.full(2, m3), np.full(2, q), np.zeros(2)])
-    F = np.max(np.abs(rhs(x, params, V)[[0, 4]]), axis=0)
-    return float(m2[np.argmin(F)])
+    f = rhs(x, params, V)
+    return float(m2[np.argmin(np.maximum(np.abs(f[0]), np.abs(f[4])))])
 
 
 def _polish(m2, m3, q, params, V, iters=30, tol=1e-13):
@@ -373,10 +373,10 @@ def _polish(m2, m3, q, params, V, iters=30, tol=1e-13):
     f = lambda z: rhs(z, params, V)
     x = np.array([0.0, m2, m3, q, 0.0])
     for i in range(iters + 1):
-        F = f(x)[[0, 4]]
+        F = np.array(f(x))[[0, 4]]
         if np.max(np.abs(F)) < tol or i == iters:
             break
-        J = derivative_matrix(f, x, V.analytic)[np.ix_((0, 4), (1, 2))]
+        J = derivative_matrix(f, x, V.analytic, (1, 2))[[0, 4]]
         try:
             x[1:3] -= np.linalg.solve(J, F)
         except np.linalg.LinAlgError:
@@ -449,7 +449,8 @@ def solve_right_angle(
     V: Potential,
     tol: Tolerances = DEFAULT_TOL,
 ) -> Union[List[EquilibriumRecord], RightAngleFamily]:
-    """Equilibria at q = pi/2: 0, 1 or 2 records by discriminant sign.
+    """Equilibria at q = pi/2: 0, 1 or 2 records by discriminant sign, each
+    kept only if it passes the residual cut of `tol`.
 
     The special case B = 0 with equal masses degenerates into a hyperbola of
     solutions and is reported as a RightAngleFamily instead of records.
@@ -469,13 +470,12 @@ def solve_right_angle(
     disc = right_angle_discriminant(params, V)
     if disc < -tol.degenerate:
         return []
-    if abs(disc) <= tol.degenerate:
+    degenerate = abs(disc) <= tol.degenerate
+    if degenerate:
         m3_roots = [-b / (2 * a)]
-        degenerate = True
     else:
         sq = mu2 * np.sqrt(disc)  # b^2 - 4ac = mu2^2 * disc
         m3_roots = [(-b + sq) / (2 * a), (-b - sq) / (2 * a)]
-        degenerate = False
     out = []
     for m3 in m3_roots:
         if m3 == 0:
@@ -487,4 +487,4 @@ def solve_right_angle(
         out.append(
             make_record(Family.RightAngle, m2, m3, np.pi / 2, params, V, degenerate=degenerate)
         )
-    return out
+    return [r for r in out if passes_residual_cut(r.residual, tol)]

@@ -24,6 +24,7 @@ from .core import (
     ReducedState,
     SystemParams,
     body_velocity_to_reduced,
+    mathlib,
     reduced_to_body_velocity,
     rk4,
     step_count,
@@ -62,17 +63,18 @@ class FullState:
 
 def _cross_and_distance(q1, q2):
     """q1 x q2 as a tuple of components, and the angle between q1 and q2;
-    both may carry a trailing batch axis."""
+    the components are floats or arrays with a trailing batch axis."""
     ax, ay, az = q1
     bx, by, bz = q2
     c = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
-    sin = np.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
-    return c, np.arctan2(sin, ax * bx + ay * by + az * bz)
+    sin2 = c[0] * c[0] + c[1] * c[1] + c[2] * c[2]
+    # numpy's atan2 on floats too: math.atan2 differs in the last bit on 8% of
+    # inputs (numpy 2.4, AVX-512), and one state must give what a batch gives
+    return c, np.arctan2(mathlib(sin2).sqrt(sin2), ax * bx + ay * by + az * bz)
 
 
 def geodesic_distance(q1, q2):
-    """Angle between two position vectors; q1 and q2 may carry a trailing
-    batch axis."""
+    """Angle between two position vectors of float or array components."""
     return _cross_and_distance(q1, q2)[1]
 
 
@@ -98,52 +100,52 @@ def momentum_map(state: FullState, params: SystemParams) -> np.ndarray:
 def full_rhs(y, params: SystemParams, V: Potential):
     """Newtonian equations with Lorentz, inter-particle and constraint forces.
 
-    y is (12,) or (12, ...): positions q1, q2, then momenta p1, p2.
-    """
+    y has 12 float or array components, positions q1, q2 then momenta p1,
+    p2; returns y' as a tuple."""
     q1x, q1y, q1z, q2x, q2y, q2z, p1x, p1y, p1z, p2x, p2y, p2z = y
     mu1, mu2, e1, e2, B = params.mu1, params.mu2, params.e1, params.e2, params.B
     v1x, v1y, v1z = p1x / mu1, p1y / mu1, p1z / mu1
     v2x, v2y, v2z = p2x / mu2, p2y / mu2, p2z / mu2
 
     q = geodesic_distance((q1x, q1y, q1z), (q2x, q2y, q2z))
-    cos_q = np.cos(q)
+    m = mathlib(q)
+    cos_q = m.cos(q)
     # tangential gradient of the geodesic distance at each particle, times V'
-    g = V.derivative(q) / np.sin(q)
+    g = V.derivative(q) / m.sin(q)
 
     # Lorentz force e B (v x q); Lagrange multipliers keep q_i . v_i = 0
     b1, b2 = e1 * B, e2 * B
     lam1 = -mu1 * (v1x * v1x + v1y * v1y + v1z * v1z)
     lam2 = -mu2 * (v2x * v2x + v2y * v2y + v2z * v2z)
-    return np.array(
-        [
-            v1x, v1y, v1z,
-            v2x, v2y, v2z,
-            g * (q2x - cos_q * q1x) + b1 * (v1y * q1z - v1z * q1y) + lam1 * q1x,
-            g * (q2y - cos_q * q1y) + b1 * (v1z * q1x - v1x * q1z) + lam1 * q1y,
-            g * (q2z - cos_q * q1z) + b1 * (v1x * q1y - v1y * q1x) + lam1 * q1z,
-            g * (q1x - cos_q * q2x) + b2 * (v2y * q2z - v2z * q2y) + lam2 * q2x,
-            g * (q1y - cos_q * q2y) + b2 * (v2z * q2x - v2x * q2z) + lam2 * q2y,
-            g * (q1z - cos_q * q2z) + b2 * (v2x * q2y - v2y * q2x) + lam2 * q2z,
-        ]
+    return (
+        v1x, v1y, v1z,
+        v2x, v2y, v2z,
+        g * (q2x - cos_q * q1x) + b1 * (v1y * q1z - v1z * q1y) + lam1 * q1x,
+        g * (q2y - cos_q * q1y) + b1 * (v1z * q1x - v1x * q1z) + lam1 * q1y,
+        g * (q2z - cos_q * q1z) + b1 * (v1x * q1y - v1y * q1x) + lam1 * q1z,
+        g * (q1x - cos_q * q2x) + b2 * (v2y * q2z - v2z * q2y) + lam2 * q2x,
+        g * (q1y - cos_q * q2y) + b2 * (v2z * q2x - v2x * q2z) + lam2 * q2y,
+        g * (q1z - cos_q * q2z) + b2 * (v2x * q2y - v2y * q2x) + lam2 * q2z,
     )
 
 
 def _project(y):
     """Renormalize positions and remove normal momentum components.
 
-    y holds the positions of k particles followed by their momenta (6k
-    components, possibly with a trailing batch axis)."""
-    c = list(y)
-    n = len(c) // 2
+    y holds the positions of k particles followed by their momenta: 6k
+    components, floats or arrays; returns them as a tuple."""
+    n = len(y) // 2
+    q, p = [], []
     for i in range(0, n, 3):
-        qx, qy, qz = c[i : i + 3]
-        px, py, pz = c[n + i : n + i + 3]
-        r = np.sqrt(qx * qx + qy * qy + qz * qz)
+        qx, qy, qz = y[i : i + 3]
+        px, py, pz = y[n + i : n + i + 3]
+        r2 = qx * qx + qy * qy + qz * qz
+        r = mathlib(r2).sqrt(r2)
         qx, qy, qz = qx / r, qy / r, qz / r
         d = px * qx + py * qy + pz * qz
-        c[i : i + 3] = qx, qy, qz
-        c[n + i : n + i + 3] = px - d * qx, py - d * qy, pz - d * qz
-    return np.array(c)
+        q += qx, qy, qz
+        p += px - d * qx, py - d * qy, pz - d * qz
+    return (*q, *p)
 
 
 @dataclass(frozen=True)
@@ -174,8 +176,7 @@ def _distance_guard(y0):
 
     def guard(y, t: float) -> None:
         nonlocal last
-        x = y[0:6].tolist()      # Python floats: cheaper arithmetic than numpy scalars
-        c, q = _cross_and_distance(x[0:3], x[3:6])
+        c, q = _cross_and_distance(y[0:3], y[3:6])
         if not (Q_EDGE <= q <= np.pi - Q_EDGE):
             raise CollisionApproach(f"geodesic distance {q} left guarded domain at t={t}")
         if c[0] * last[0] + c[1] * last[1] + c[2] * last[2] < 0:
@@ -261,18 +262,17 @@ def lift_state(state: ReducedState, params: SystemParams) -> FullState:
 
 
 def one_particle_rhs(y, mu: float, e: float, B: float):
-    """Free charged particle: y = (x, p), shape (6,) or (6, ...)."""
+    """Free charged particle: y = (x, p), six components, floats or arrays;
+    returns y' as a tuple."""
     x1, x2, x3, p1, p2, p3 = y
     v1, v2, v3 = p1 / mu, p2 / mu, p3 / mu
     eB = e * B
     lam = -mu * (v1 * v1 + v2 * v2 + v3 * v3)
-    return np.array(
-        [
-            v1, v2, v3,
-            eB * (v2 * x3 - v3 * x2) + lam * x1,
-            eB * (v3 * x1 - v1 * x3) + lam * x2,
-            eB * (v1 * x2 - v2 * x1) + lam * x3,
-        ]
+    return (
+        v1, v2, v3,
+        eB * (v2 * x3 - v3 * x2) + lam * x1,
+        eB * (v3 * x1 - v1 * x3) + lam * x2,
+        eB * (v1 * x2 - v2 * x1) + lam * x3,
     )
 
 
@@ -280,10 +280,8 @@ def one_particle_integrate(x0, v0, mu: float, e: float, B: float, t_end: float, 
     """Free charged particle on the sphere; returns (times, states(n, 6)).
     Raises DomainError unless t_end is a whole number of steps dt."""
     n_steps = step_count(t_end, dt)
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    y0 = _project(np.concatenate([x0, mu * v0]))
-    states = rk4(lambda y: one_particle_rhs(y, mu, e, B), y0, dt, n_steps, _project)
+    y0 = np.concatenate([np.asarray(x0, dtype=float), mu * np.asarray(v0, dtype=float)])
+    states = rk4(lambda y: one_particle_rhs(y, mu, e, B), _project(y0), dt, n_steps, _project)
     return np.arange(n_steps + 1) * dt, states
 
 

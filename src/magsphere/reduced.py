@@ -18,6 +18,7 @@ from .core import (
     Q_EDGE,
     ReducedState,
     SystemParams,
+    mathlib,
     rk4,
     step_count,
 )
@@ -106,11 +107,13 @@ def poisson_matrix(x, params: SystemParams) -> np.ndarray:
 
 
 def rhs(x, params: SystemParams, V: Potential):
+    """The vector field at x, five components (floats or arrays), as a tuple."""
     mu1, mu2 = params.mu1, params.mu2
     B, e1, e2 = params.B, params.e1, params.e2
     m1, m2, m3, q, p = x
-    s = np.sin(q)
-    c = np.cos(q)
+    m = mathlib(q)
+    s = m.sin(q)
+    c = m.cos(q)
     cot = c / s
     csc = 1.0 / s
     csc2 = csc * csc
@@ -133,7 +136,7 @@ def rhs(x, params: SystemParams, V: Potential):
         m3 * csc * (B * e2 * mu1 + csc * (mu2 * m2 - m3 * (mu1 + mu2) * cot))
         + mu1 * mu2 * V.derivative(q)
     )
-    return np.array([dm1, dm2, dm3, dq, dp])
+    return dm1, dm2, dm3, dq, dp
 
 
 def residual(x, params: SystemParams, V: Potential) -> float:
@@ -141,27 +144,26 @@ def residual(x, params: SystemParams, V: Potential) -> float:
     return float(np.max(np.abs(rhs(np.asarray(x, dtype=float), params, V))))
 
 
-def derivative_matrix(f, x, analytic: bool) -> np.ndarray:
-    """df/dx at states x of shape (5, ...), returned with shape (..., 5, 5).
+def derivative_matrix(f, x, analytic: bool, columns=range(5)) -> np.ndarray:
+    """df/dx_j for j in `columns` at states x of shape (5, ...), with shape
+    (..., 5, len(columns)); f maps x to five components (array or tuple).
 
-    Complex step (5 calls of f) when f accepts complex input, otherwise
-    central differences (10 calls).  f maps (5, ...) to (5, ...).
+    Complex step (one call of f per column) when f accepts complex input,
+    otherwise central differences (two calls per column).
     """
     x = np.asarray(x, dtype=float)
     last = (*range(1, x.ndim), 0)          # puts the component axis of f(x) last
-    D = np.empty(x.shape[1:] + (5, 5))
-    if analytic:
-        h = 1e-200
-        for j in range(5):
+    D = np.empty(x.shape[1:] + (5, len(columns)))
+    f_array = lambda z: np.asarray(f(z)).transpose(last)
+    for i, j in enumerate(columns):
+        if analytic:
             z = x.astype(complex)
-            z[j] += 1j * h
-            D[..., j] = f(z).imag.transpose(last) / h
-    else:
-        d = 1e-6
-        for j in range(5):
+            z[j] += 1e-200j
+            D[..., i] = f_array(z).imag / 1e-200
+        else:
             e = np.zeros_like(x)
-            e[j] = d
-            D[..., j] = (f(x + e) - f(x - e)).transpose(last) / (2 * d)
+            e[j] = 1e-6
+            D[..., i] = (f_array(x + e) - f_array(x - e)) / 2e-6
     return D
 
 
@@ -194,17 +196,17 @@ class Trajectory:
 
 
 def _casimir_projection(x, params: SystemParams, c_target: float):
-    """Rescale the shifted momentum vector back onto the Casimir sphere."""
+    """Rescale the shifted momentum vector back onto the Casimir sphere (a
+    zero vector: ZeroDivisionError on floats, NaN in a batch)."""
     m1, m2, m3, q, p = x
     B, e1, e2 = params.B, params.e1, params.e2
-    shift2 = B * e2 * np.sin(q)
-    shift3 = B * (e1 + e2 * np.cos(q))
+    m = mathlib(q)
+    shift2 = B * e2 * m.sin(q)
+    shift3 = B * (e1 + e2 * m.cos(q))
     v1, v2, v3 = m1, m2 - shift2, m3 + shift3
-    norm = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-    if norm == 0:
-        return x
-    k = np.sqrt(c_target) / norm
-    return np.array([v1 * k, v2 * k + shift2, v3 * k - shift3, q, p])
+    norm2 = v1 * v1 + v2 * v2 + v3 * v3
+    k = m.sqrt(c_target) / m.sqrt(norm2)
+    return v1 * k, v2 * k + shift2, v3 * k - shift3, q, p
 
 
 def _q_guard(x, t: float) -> None:
@@ -230,10 +232,8 @@ def integrate(
     """
     n_steps = step_count(t_end, dt)
     x0 = initial.as_array()
-    project = None
-    if project_casimir:
-        c0 = casimir_array(x0, params)
-        project = lambda x: _casimir_projection(x, params, c0)
+    c0 = casimir_array(x0, params)
+    project = (lambda x: _casimir_projection(x, params, c0)) if project_casimir else None
     # rhs is looked up at call time, so a wrapper bound in its place sees every call
     states = rk4(lambda x: rhs(x, params, V), x0, dt, n_steps, project, _q_guard)
     return Trajectory(

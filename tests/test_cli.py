@@ -138,6 +138,28 @@ def test_equilibria_right_angle(tmp_path):
     assert len(json.loads(out.read_text())) == 2
 
 
+def test_equilibria_right_angle_applies_the_residual_cut(tmp_path):
+    """--tol is the record cut on the right-angle path too: both records,
+    with residuals near 1e-15, fail a cut of 1e-30."""
+    out = tmp_path / "ra.json"
+    argv = ["equilibria", "--B", "3", "--family", "right-angle", "--tol", "1e-30"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == []
+
+
+@pytest.mark.parametrize("family", ["type1", "type2"])
+@pytest.mark.parametrize(
+    "system",
+    [["--mu1", "1.3", "--mu2", "0.7", "--e2", "-2"], ["--potential", "custom-table"]],
+    ids=["unequal", "table"],
+)
+def test_equilibria_refuses_a_closed_form_family_for_general_systems(capsys, family, system):
+    """type1/type2 select closed-form records, which only identical particles
+    with V = cot have; elsewhere the flag would select nothing."""
+    assert main(["equilibria", *system, "--B", "0.9", "--q", "1.2", "--family", family]) == 1
+    assert "selects closed-form equilibria" in capsys.readouterr().err
+
+
 def test_stability_grid_csv(tmp_path):
     out = tmp_path / "st.csv"
     code = main(
@@ -183,6 +205,14 @@ def test_atlas_unknown_diagram():
 
 REFUSED = {
     "equilibria_family": ["equilibria", "--B", "2.5", "--q", "1.0", "--family", "typo"],
+    "equilibria_type1_masses": ["equilibria", "--mu1", "1.3", "--mu2", "0.7", "--e2", "-2",
+                                "--B", "0.9", "--q", "1.2", "--family", "type1"],
+    "equilibria_type2_masses": ["equilibria", "--mu1", "1.3", "--mu2", "0.7", "--e2", "-2",
+                                "--B", "0.9", "--q", "1.2", "--family", "type2"],
+    "equilibria_type1_potential": ["equilibria", "--potential", "custom-table", "--q", "1.2",
+                                   "--family", "type1"],
+    "equilibria_type2_potential": ["equilibria", "--potential", "custom-table", "--q", "1.2",
+                                   "--family", "type2"],
     "stability_family": ["stability", "--grid-q", "0.5:2.5:3", "--grid-B", "1:4:2",
                          "--family", "typo"],
     "stability_right_angle": ["stability", "--grid-q", "0.5:2.5:3", "--grid-B", "1:4:2",

@@ -217,7 +217,7 @@ def _reference_polish(m2, m3, q, params, V, iters=30, tol=1e-13):
 
     def F(m2, m3):
         x = np.array([0.0, m2, m3, q, 0.0], dtype=np.result_type(m2, m3, float))
-        return rhs(x, params, V)[[0, 4]]
+        return np.array(rhs(x, params, V))[[0, 4]]
 
     z = np.array([m2, m3], dtype=float)
     for _ in range(iters):

@@ -190,8 +190,8 @@ def test_componentwise_kernels_match_cross_product_formulas(rng, p):
     Y = _random_full_states(rng, 200)
     raw = Y + rng.normal(scale=0.3, size=Y.shape)   # off the sphere and its tangent planes
     batch = {
-        "full_rhs": (full_rhs(Y, p, V), lambda y: _ref_full_rhs(y, p, V), Y),
-        "project": (_project(raw), _ref_project, raw),
+        "full_rhs": (np.array(full_rhs(Y, p, V)), lambda y: _ref_full_rhs(y, p, V), Y),
+        "project": (np.array(_project(raw)), _ref_project, raw),
         "phi": (momentum_map_array(Y, p), lambda y: _ref_momentum_map(y, p), Y),
         "distance": (geodesic_distance(Y[0:3], Y[3:6]),
                      lambda y: _ref_geodesic_distance(y[0:3], y[3:6]), Y),

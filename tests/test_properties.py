@@ -1,0 +1,93 @@
+"""Property tests: every tuple kernel gives one state, as a tuple of floats,
+exactly the values that it gives that state as column j of a (d, N) batch.
+
+The float path takes sin, cos and sqrt from `math` and the batch path from
+numpy (`core.mathlib`); both take numpy's arctan2.  The kernels share one
+source, so the two agree bit for bit wherever those functions do.  Examples
+are derandomized: every run draws the same ones.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st
+
+from magsphere.core import SystemParams, cot_potential
+from magsphere.fullspace import _project, full_rhs, geodesic_distance, one_particle_rhs
+from magsphere.reduced import _casimir_projection, casimir_array, rhs
+
+FIXED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+unit = st.floats(-1.0, 1.0)
+charge = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.5, 2.0)).map(lambda t: t[0] * t[1])
+systems = st.builds(SystemParams, st.floats(0.5, 3.0), st.floats(0.5, 3.0), charge, charge,
+                    st.floats(-5.0, 5.0))
+reduced_states = st.tuples(unit, unit, unit, st.floats(0.1, np.pi - 0.1), unit)
+
+
+def _batch(states):
+    """States as a (d, N) array."""
+    return np.array(states, dtype=float).T
+
+
+def _assert_columns(kernel, X):
+    """kernel on each column of X as a tuple of floats equals that column
+    of kernel on X."""
+    batch = np.array(kernel(X))
+    for j in range(X.shape[1]):
+        one = kernel(tuple(X[:, j].tolist()))
+        assert all(isinstance(v, float) for v in (one if isinstance(one, tuple) else (one,)))
+        assert np.array_equal(np.array(one), batch[..., j]), j
+
+
+def _apart(y):
+    """Both position vectors of a 12-component state well away from zero
+    and from each other's line, so the geodesic distance is well defined."""
+    q1, q2 = np.array(y[0:3]), np.array(y[3:6])
+    n1, n2 = np.linalg.norm(q1), np.linalg.norm(q2)
+    return min(n1, n2) > 0.1 and np.linalg.norm(np.cross(q1, q2)) > 0.05 * n1 * n2
+
+
+full_states = st.tuples(*[unit] * 12).filter(_apart)
+
+
+@FIXED
+@given(systems, st.lists(reduced_states, min_size=1, max_size=8))
+def test_rhs_one_state_equals_batch_column(params, states):
+    V = cot_potential(params)
+    _assert_columns(lambda x: rhs(x, params, V), _batch(states))
+
+
+@FIXED
+@given(systems, st.lists(reduced_states, min_size=1, max_size=8), st.floats(0.01, 20.0))
+def test_casimir_projection_one_state_equals_batch_column(params, states, c_target):
+    X = _batch(states)
+    assume(np.all(casimir_array(X, params) > 1e-6))
+    _assert_columns(lambda x: _casimir_projection(x, params, c_target), X)
+
+
+@FIXED
+@given(systems, st.lists(full_states, min_size=1, max_size=8))
+def test_full_rhs_one_state_equals_batch_column(params, states):
+    V = cot_potential(params)
+    _assert_columns(lambda y: full_rhs(y, params, V), _batch(states))
+
+
+@FIXED
+@given(st.lists(full_states, min_size=1, max_size=8))
+def test_project_one_state_equals_batch_column(states):
+    _assert_columns(_project, _batch(states))
+
+
+@FIXED
+@given(st.lists(full_states, min_size=1, max_size=8))
+def test_geodesic_distance_one_state_equals_batch_column(states):
+    _assert_columns(lambda y: geodesic_distance(y[0:3], y[3:6]), _batch(states))
+
+
+@FIXED
+@given(st.floats(0.5, 3.0), charge, st.floats(-5.0, 5.0),
+       st.lists(st.tuples(*[unit] * 6), min_size=1, max_size=8))
+def test_one_particle_rhs_one_state_equals_batch_column(mu, e, B, states):
+    _assert_columns(lambda y: one_particle_rhs(y, mu, e, B), _batch(states))

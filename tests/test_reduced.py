@@ -144,10 +144,10 @@ def _plain_rk4(x, params, V, dt, n):
     one state at a time; stops early at the first state outside the q guard."""
     states, energy, cas = [x], [hamiltonian_array(x, params, V)], [casimir_array(x, params)]
     for _ in range(n):
-        k1 = rhs(x, params, V)
-        k2 = rhs(x + 0.5 * dt * k1, params, V)
-        k3 = rhs(x + 0.5 * dt * k2, params, V)
-        k4 = rhs(x + dt * k3, params, V)
+        k1 = np.array(rhs(x, params, V))
+        k2 = np.array(rhs(x + 0.5 * dt * k1, params, V))
+        k3 = np.array(rhs(x + 0.5 * dt * k2, params, V))
+        k4 = np.array(rhs(x + dt * k3, params, V))
         x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         states.append(x)
         energy.append(hamiltonian_array(x, params, V))
@@ -185,6 +185,15 @@ def test_integrate_non_finite_state(params):
     nan = Potential(value=lambda q: q * np.nan, derivative=lambda q: q * np.nan, name="nan")
     with pytest.raises(NonFiniteState, match=r"non-finite state at t=0\.001$"):
         integrate(ReducedState(0.05, -0.1, 0.12, 1.5, 0.03), params, nan, t_end=0.01, dt=1e-3)
+
+
+def test_integrate_infinite_force_is_a_non_finite_state(params):
+    """An infinite force drives q to -inf within the first step, where
+    math.sin raises ValueError on floats; that step is reported as
+    NonFiniteState, as the NaN it gives in numpy is."""
+    inf = Potential(value=lambda q: q * np.inf, derivative=lambda q: q * np.inf, name="inf")
+    with pytest.raises(NonFiniteState, match=r"non-finite state at t=0\.001$"):
+        integrate(ReducedState(0.05, -0.1, 0.12, 1.5, 0.03), params, inf, t_end=0.01, dt=1e-3)
 
 
 def test_collision_guard_step_and_message():

@@ -63,7 +63,7 @@ def test_jacobian_matches_finite_differences(rng):
         for j in range(5):
             e = np.zeros(5)
             e[j] = d
-            col = (rhs(x + e, params, V) - rhs(x - e, params, V)) / (2 * d)
+            col = (np.array(rhs(x + e, params, V)) - np.array(rhs(x - e, params, V))) / (2 * d)
             assert np.max(np.abs(J[:, j] - col)) < 1e-6
 
 
