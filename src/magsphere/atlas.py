@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     DEFAULT_TOL,
@@ -32,6 +31,7 @@ from .equilibria import (
     type2_arrays,
     type2_threshold,
 )
+from .reduced import shifted_momentum
 from .stability import stability_arrays
 
 B_CRITICAL = (4.0 / 3.0) * 3.0**0.25      # minimum of the existence threshold
@@ -113,6 +113,9 @@ def type2_window(B: float) -> tuple[float, float]:
     """The q-interval on which the isosceles family exists at strength B."""
     if B <= B_CRITICAL:
         raise DomainError(f"B={B} at or below the critical strength {B_CRITICAL}")
+    # imported here: scipy.optimize costs more to load than the rest of magsphere
+    from scipy.optimize import brentq
+
     f = lambda q: type2_threshold(q) - B
     q0 = brentq(f, 1e-6, Q_CRITICAL, xtol=1e-14)
     q1 = brentq(f, Q_CRITICAL, np.pi - 1e-9, xtol=1e-14)
@@ -368,14 +371,7 @@ def axis_angles(record: EquilibriumRecord) -> tuple[float, float]:
     the body frame the particles sit at (0,0,-1) and (0, sin q, -cos q).
     """
     s = record.state
-    params = record.params
-    phi = np.array(
-        [
-            s.m1,
-            s.m2 - params.B * params.e2 * np.sin(s.q),
-            s.m3 + params.B * (params.e1 + params.e2 * np.cos(s.q)),
-        ]
-    )
+    phi = np.array(shifted_momentum((s.m1, s.m2, s.m3, s.q, s.p), record.params))
     # orient the axis so the isosceles family has both cosines = cos(q/2)
     n = -phi / np.linalg.norm(phi)
     x1 = np.array([0.0, 0.0, -1.0])

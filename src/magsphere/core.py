@@ -28,7 +28,6 @@ class Tolerances:
     eigenvalue: float = 1e-8       # eigenvalue comparison / zero-mode detection
     classify: float = 1e-10        # degeneracy band for the (a, b) stability test
     degenerate: float = 1e-12      # discriminant magnitude treated as a double root
-    q_edge: float = Q_EDGE
 
 
 DEFAULT_TOL = Tolerances()
@@ -259,16 +258,28 @@ def table_potential(q_nodes, v_nodes) -> Potential:
     )
 
 
-def reduced_to_body_velocity(state: ReducedState, params: SystemParams) -> BodyFrameVelocity:
-    """Invert the Legendre relations: (m1, m2, m3, p) -> (w1, w2, w3, qdot)."""
+def kinetic_gradient(x, params: SystemParams):
+    """Gradient of the kinetic energy at x = (m1, m2, m3, q, p), as floats,
+    arrays or complex values.  Its (m1, m2, m3, p)-components are the body
+    velocities (w1, w2, w3, qdot), the Legendre map; `reduced.grad_hamiltonian`
+    adds V'(q) to the q-component."""
     mu1, mu2 = params.mu1, params.mu2
-    m1, m2, m3, q, p = state.m1, state.m2, state.m3, state.q, state.p
-    cot = np.cos(q) / np.sin(q)
-    csc2 = 1.0 / np.sin(q) ** 2
+    m1, m2, m3, q, p = x
+    s = np.sin(q)
+    cot = np.cos(q) / s
+    csc2 = 1.0 / s**2
     w1 = (m1 - p) / mu1
     w2 = (m2 - m3 * cot) / mu1
     w3 = cot * (m3 * cot - m2) / mu1 + m3 * csc2 / mu2
+    dq = m3 * csc2 * (mu2 * m2 - (mu1 + mu2) * m3 * cot) / (mu1 * mu2)
     qdot = (p * (mu1 + mu2) - mu2 * m1) / (mu1 * mu2)
+    return w1, w2, w3, dq, qdot
+
+
+def reduced_to_body_velocity(state: ReducedState, params: SystemParams) -> BodyFrameVelocity:
+    """Invert the Legendre relations: (m1, m2, m3, p) -> (w1, w2, w3, qdot)."""
+    w1, w2, w3, _, qdot = kinetic_gradient(
+        (state.m1, state.m2, state.m3, state.q, state.p), params)
     return BodyFrameVelocity(w1, w2, w3, qdot)
 
 

@@ -18,6 +18,7 @@ from .core import (
     Q_EDGE,
     ReducedState,
     SystemParams,
+    kinetic_gradient,
     mathlib,
     rk4,
     step_count,
@@ -46,17 +47,25 @@ def hamiltonian_array(x, params: SystemParams, V: Potential):
 
 def grad_hamiltonian(x, params: SystemParams, V: Potential):
     """Analytic gradient of H; the (m, p)-components are the body velocities."""
-    mu1, mu2 = params.mu1, params.mu2
+    dm1, dm2, dm3, dq, dp = kinetic_gradient(x, params)
+    return np.array([dm1, dm2, dm3, dq + V.derivative(x[3]), dp])
+
+
+def _momentum_shift(q, params: SystemParams):
+    """(B e2 sin q, B (e1 + e2 cos q)): what the field takes from m2 and
+    adds to m3 in the shifted momentum (see `shifted_momentum`)."""
+    B, e2 = params.B, params.e2
+    m = mathlib(q)
+    return B * e2 * m.sin(q), B * (params.e1 + e2 * m.cos(q))
+
+
+def shifted_momentum(x, params: SystemParams):
+    """Phi = (m1, m2 - B e2 sin q, m3 + B (e1 + e2 cos q)) at x = (m1, m2,
+    m3, q, p): the Casimir is |Phi|^2, and Phi points along the rotation
+    axis of a relative equilibrium."""
     m1, m2, m3, q, p = x
-    s = np.sin(q)
-    cot = np.cos(q) / s
-    csc2 = 1.0 / s**2
-    dm1 = (m1 - p) / mu1
-    dm2 = (m2 - m3 * cot) / mu1
-    dm3 = cot * (m3 * cot - m2) / mu1 + m3 * csc2 / mu2
-    dq = m3 * csc2 * (mu2 * m2 - (mu1 + mu2) * m3 * cot) / (mu1 * mu2) + V.derivative(q)
-    dp = (p * (mu1 + mu2) - mu2 * m1) / (mu1 * mu2)
-    return np.array([dm1, dm2, dm3, dq, dp])
+    shift2, shift3 = _momentum_shift(q, params)
+    return m1, m2 - shift2, m3 + shift3
 
 
 def casimir(state: ReducedState, params: SystemParams) -> float:
@@ -64,40 +73,37 @@ def casimir(state: ReducedState, params: SystemParams) -> float:
 
 
 def casimir_array(x, params: SystemParams):
-    m1, m2, m3, q, p = x
-    B, e1, e2 = params.B, params.e1, params.e2
-    u = m2 - B * e2 * np.sin(q)
-    w = m3 + B * (e1 + e2 * np.cos(q))
-    return m1 * m1 + u * u + w * w
+    v1, v2, v3 = shifted_momentum(x, params)
+    return v1 * v1 + v2 * v2 + v3 * v3
 
 
 def grad_casimir(x, params: SystemParams):
-    m1, m2, m3, q, p = x
-    B, e1, e2 = params.B, params.e1, params.e2
-    u = m2 - B * e2 * np.sin(q)
-    w = m3 + B * (e1 + e2 * np.cos(q))
+    v1, v2, v3 = shifted_momentum(x, params)
+    q = x[3]
+    m = mathlib(q)
     return np.array(
         [
-            2 * m1,
-            2 * u,
-            2 * w,
-            -2 * B * e2 * (u * np.cos(q) + w * np.sin(q)),
-            0.0 * m1,
+            2 * v1,
+            2 * v2,
+            2 * v3,
+            -2 * params.B * params.e2 * (v2 * m.cos(q) + v3 * m.sin(q)),
+            0.0 * v1,
         ]
     )
 
 
 def poisson_matrix(x, params: SystemParams) -> np.ndarray:
-    m1, m2, m3, q, p = x
-    B, e1, e2 = params.B, params.e1, params.e2
-    s, c = np.sin(q), np.cos(q)
+    v1, v2, v3 = shifted_momentum(x, params)
+    q = x[3]
+    m = mathlib(q)
+    b2 = params.B * params.e2
     sig = np.zeros((5, 5), dtype=np.result_type(x, float))
     pairs = {
-        (0, 1): -m3 - B * (e1 + e2 * c),
-        (0, 2): m2 - B * e2 * s,
-        (1, 2): -m1,
-        (1, 4): B * e2 * c,
-        (2, 4): B * e2 * s,
+        (0, 1): -v3,
+        (0, 2): v2,
+        (1, 2): -v1,
+        (1, 4): b2 * m.cos(q),
+        (2, 4): b2 * m.sin(q),
         (3, 4): 1.0,
     }
     for (i, j), v in pairs.items():
@@ -199,12 +205,10 @@ def _casimir_projection(x, params: SystemParams, c_target: float):
     """Rescale the shifted momentum vector back onto the Casimir sphere (a
     zero vector: ZeroDivisionError on floats, NaN in a batch)."""
     m1, m2, m3, q, p = x
-    B, e1, e2 = params.B, params.e1, params.e2
-    m = mathlib(q)
-    shift2 = B * e2 * m.sin(q)
-    shift3 = B * (e1 + e2 * m.cos(q))
+    shift2, shift3 = _momentum_shift(q, params)
     v1, v2, v3 = m1, m2 - shift2, m3 + shift3
     norm2 = v1 * v1 + v2 * v2 + v3 * v3
+    m = mathlib(q)
     k = m.sqrt(c_target) / m.sqrt(norm2)
     return v1 * k, v2 * k + shift2, v3 * k - shift3, q, p
 

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from magsphere.core import SystemParams, cot_potential
 from magsphere.fullspace import _project, full_rhs, geodesic_distance, one_particle_rhs
-from magsphere.reduced import _casimir_projection, casimir_array, rhs
+from magsphere.reduced import _casimir_projection, casimir_array, rhs, shifted_momentum
 
 FIXED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -57,6 +57,14 @@ full_states = st.tuples(*[unit] * 12).filter(_apart)
 def test_rhs_one_state_equals_batch_column(params, states):
     V = cot_potential(params)
     _assert_columns(lambda x: rhs(x, params, V), _batch(states))
+
+
+@FIXED
+@given(systems, st.lists(reduced_states, min_size=1, max_size=8))
+def test_shifted_momentum_one_state_equals_batch_column(params, states):
+    X = _batch(states)
+    _assert_columns(lambda x: shifted_momentum(x, params), X)
+    _assert_columns(lambda x: casimir_array(x, params), X)
 
 
 @FIXED
