@@ -110,16 +110,22 @@ def threshold_curve(q_samples: Iterable[float]) -> ThresholdCurve:
 
 
 def type2_window(B: float) -> tuple[float, float]:
-    """The q-interval on which the isosceles family exists at strength B."""
+    """The q-interval on which the isosceles family exists at strength B.
+    Its ends solve sin^3(q/2) cos(q/2) = B^-2 (type2_threshold(q) = B), by
+    Newton in q/2 from the real roots u = sin^2(q/2) of u^3 (1 - u) = B^-4;
+    within rounding of B*, where those are a complex pair, at Q_CRITICAL."""
     if B <= B_CRITICAL:
         raise DomainError(f"B={B} at or below the critical strength {B_CRITICAL}")
-    # imported here: scipy.optimize costs more to load than the rest of magsphere
-    from scipy.optimize import brentq
-
-    f = lambda q: type2_threshold(q) - B
-    q0 = brentq(f, 1e-6, Q_CRITICAL, xtol=1e-14)
-    q1 = brentq(f, Q_CRITICAL, np.pi - 1e-9, xtol=1e-14)
-    return q0, q1
+    b2 = B ** -2.0
+    roots = np.roots([1.0, -1.0, 0.0, 0.0, b2 * b2])
+    roots = roots[roots.real > 0]
+    if np.any(roots.imag != 0):
+        return Q_CRITICAL, Q_CRITICAL
+    h = np.arcsin(np.sqrt(np.sort(roots.real)))
+    for _ in range(3):
+        s, c = np.sin(h), np.cos(h)
+        h = h - (s * s * s * c - b2) / (s * s * (3 * c * c - s * s))
+    return float(2 * h[0]), float(2 * h[1])
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ class RunConfig:
                 raise ConfigError("custom-table potential needs --potential-file")
             try:
                 data = np.loadtxt(self.potential_file, delimiter=",")
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read potential table: {exc}") from exc
             if data.ndim != 2 or data.shape[1] != 2:
                 raise ConfigError("potential table must have two columns")

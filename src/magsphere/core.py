@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -229,33 +230,101 @@ def cot_potential(params: SystemParams) -> Potential:
     return Potential(value, derivative, name="cot", analytic=True)
 
 
+def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Node derivatives of the monotone cubic with interval widths h and
+    secant slopes m, n >= 3 nodes: the Fritsch-Butland rule of
+    `PchipInterpolator`, operation for operation.  Inside, the weighted
+    harmonic mean of the two secants, or 0 where they change sign or one
+    vanishes; at each end, the one-sided three-point slope, kept to the
+    shape of the data."""
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d = np.empty(len(m) + 1)
+    d[1:-1] = np.where(flat, 0.0, inner)
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _end_slope(h0, h1, m0, m1) -> float:
+    """One-sided slope at an end node with secants m0 (end interval, width
+    h0) and m1 (next one in): 0 if its sign differs from m0's, 3 m0 if the
+    secants change sign and it is steeper than that (Moler, Numerical
+    Computing with MATLAB, 3.6)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip(x, y):
+    """Value and derivative of the monotone cubic through (x, y), each
+    taking a float (returns a float) or an array.  Both continue the end
+    cubics outside [x[0], x[-1]], as `PchipInterpolator` does by default.
+
+    Each interval holds the power-basis coefficients of `CubicHermiteSpline`,
+    and the powers of q - x[i] are summed in the order of `PPoly`, so that
+    the values can match `PchipInterpolator` and its `derivative()` to the
+    last bit.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = _pchip_slopes(h, m)
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    cubic = np.array([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])   # powers 3..0
+    slope = np.array([3.0 * cubic[0], 2.0 * cubic[1], cubic[2]])     # powers 2..0
+    # q lies in interval i when i inner nodes are <= q: x[i] <= q < x[i + 1]
+    # inside, and the end cubics continue beyond the end nodes
+    inner = x[1:-1]
+    nodes, inner_list = x.tolist(), inner.tolist()
+    cubic_rows, slope_rows = cubic.T.tolist(), slope.T.tolist()
+
+    def piece(q, coef, rows):
+        """q - x[i] and the coefficients of the interval i that q falls in."""
+        if isinstance(q, float):
+            i = bisect_right(inner_list, q)
+            return float(q) - nodes[i], rows[i]
+        i = np.searchsorted(inner, q, side="right")
+        return q - x[i], coef[:, i]
+
+    def value(q):
+        s, (a3, a2, a1, a0) = piece(q, cubic, cubic_rows)
+        return a0 + a1 * s + a2 * (s * s) + a3 * (s * s * s)
+
+    def derivative(q):
+        s, (a2, a1, a0) = piece(q, slope, slope_rows)
+        return a0 + a1 * s + a2 * (s * s)
+
+    return value, derivative
+
+
 def table_potential(q_nodes, v_nodes) -> Potential:
-    """Potential sampled on a grid, with monotone-cubic interpolation.
+    """Potential sampled on a grid, with monotone-cubic interpolation (`pchip`).
 
     Rejects tables whose interpolated derivative vanishes somewhere on the
     covered range, since the equilibrium theory assumes V'(q) != 0.
     """
-    from scipy.interpolate import PchipInterpolator
-
     q_nodes = np.asarray(q_nodes, dtype=float)
     v_nodes = np.asarray(v_nodes, dtype=float)
     if q_nodes.ndim != 1 or q_nodes.shape != v_nodes.shape or len(q_nodes) < 4:
         raise DomainError("potential table needs two equal-length columns, >= 4 rows")
+    if not (np.isfinite(q_nodes).all() and np.isfinite(v_nodes).all()):
+        raise DomainError("potential table must hold finite numbers")
     if np.any(np.diff(q_nodes) <= 0):
         raise DomainError("potential table q-column must be strictly increasing")
-    spline = PchipInterpolator(q_nodes, v_nodes)
-    dspline = spline.derivative()
+    value, derivative = pchip(q_nodes, v_nodes)
     probe = np.linspace(q_nodes[0], q_nodes[-1], 512)
-    dprobe = dspline(probe)
+    dprobe = derivative(probe)
     if np.min(np.abs(dprobe)) < 1e-12 or np.min(dprobe) * np.max(dprobe) <= 0:
         raise DomainError("potential table has vanishing derivative; V'(q) != 0 required")
-    # [()] makes a scalar of a 0-d result and leaves arrays of states alone
-    return Potential(
-        value=lambda q: spline(q)[()],
-        derivative=lambda q: dspline(q)[()],
-        name="custom-table",
-        analytic=False,
-    )
+    return Potential(value, derivative, name="custom-table", analytic=False)
 
 
 def kinetic_gradient(x, params: SystemParams):

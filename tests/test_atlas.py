@@ -29,6 +29,48 @@ def test_type2_window_brackets_threshold():
         atlas.type2_window(1.0)
 
 
+def _window_brentq(B):
+    from scipy.optimize import brentq
+
+    f = lambda q: type2_threshold(q) - B
+    return (brentq(f, 1e-6, atlas.Q_CRITICAL, xtol=1e-14),
+            brentq(f, atlas.Q_CRITICAL, np.pi - 1e-9, xtol=1e-14))
+
+
+def _assert_window(B, ends, tol):
+    q0, q1 = atlas.type2_window(B)
+    assert q0 <= atlas.Q_CRITICAL <= q1
+    assert np.max(np.abs(np.subtract((q0, q1), ends))) <= tol, B
+    assert np.allclose([type2_threshold(q0), type2_threshold(q1)], B, rtol=1e-12, atol=0)
+
+
+def test_type2_window_matches_brentq():
+    """The closed-form ends against brentq on the threshold, over (B*, 10]
+    and at B* + 1e-3, where the two ends have come within 0.03."""
+    Bs = np.linspace(atlas.B_CRITICAL, 10.0, 501)[1:]
+    for B in [*Bs, atlas.B_CRITICAL + 1e-3]:
+        _assert_window(B, _window_brentq(B), 1e-13)
+
+
+def test_type2_window_where_the_ends_merge():
+    """At B* + 1e-9 the ends are 3e-5 apart, and an error of one ulp in B^-2
+    moves each by about 1.5e-12: brentq itself lands 1e-12 and 3e-12 from
+    the root.  So the ends are checked against the roots of
+    u^3 (1 - u) = B^-4 in 50 digits, to 5e-12.  Within an ulp or two of B*
+    the window is the point 2 pi / 3."""
+    mpmath = pytest.importorskip("mpmath")
+    B = atlas.B_CRITICAL + 1e-9
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([1, -1, 0, 0, mpmath.mpf(B) ** -4], maxsteps=200,
+                                 extraprec=200)
+        ends = [float(2 * mpmath.asin(mpmath.sqrt(r.real))) for r in roots if r.real > 0]
+    _assert_window(B, sorted(ends), 5e-12)
+    B = np.nextafter(atlas.B_CRITICAL, np.inf)
+    _assert_window(B, (atlas.Q_CRITICAL, atlas.Q_CRITICAL), 1e-6)
+    with pytest.raises(DomainError):
+        atlas.type2_window(atlas.B_CRITICAL)
+
+
 def test_energy_casimir_branch_structure():
     d = atlas.energy_casimir_diagram(2.5)
     tags = {b.tag for b in d.branches}

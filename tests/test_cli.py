@@ -255,6 +255,21 @@ def test_custom_table_potential(tmp_path):
     assert len(records) >= 1 and all(r["residual"] < 1e-9 for r in records)
 
 
+def test_potential_table_with_a_header_is_a_config_error(tmp_path, capsys):
+    qs = np.linspace(0.2, 2.9, 60)
+    table = tmp_path / "pot.csv"
+    np.savetxt(table, np.column_stack([qs, 1 / np.tan(qs)]), delimiter=",",
+               header="q,V", comments="")
+    out = tmp_path / "eq.json"
+    code = main(
+        ["equilibria", "--mu1", "1.3", "--B", "1", "--q", "1.2",
+         "--potential", "custom-table", "--potential-file", str(table), "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: cannot read potential table: ")
+    assert not out.exists()
+
+
 def test_reconstruct_writes_full_trajectory(tmp_path):
     out = tmp_path / "full.csv"
     code = main(

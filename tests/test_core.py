@@ -10,6 +10,7 @@ from magsphere.core import (
     cot_potential,
     identical_params,
     kinetic_gradient,
+    pchip,
     reduced_to_body_velocity,
     table_potential,
 )
@@ -61,6 +62,78 @@ def test_table_potential_rejects_flat():
         table_potential(qs, np.sin(qs))  # derivative vanishes at pi/2
     with pytest.raises(DomainError):
         table_potential(qs[:3], qs[:3])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            table_potential(qs, np.where(qs > 1.5, bad, 1.0 / np.tan(qs)))
+        with pytest.raises(DomainError):
+            table_potential(np.where(qs > 2.7, bad, qs), 1.0 / np.tan(qs))
+
+
+def _pchip_tables():
+    """Seeded random tables, and hand-made ones that take each branch of
+    the end-slope rule: (name, q nodes, values)."""
+    rng = np.random.default_rng(2024)
+    tables = []
+    for k in range(6):
+        n = int(rng.integers(4, 60))
+        q = np.sort(rng.uniform(0.1, 3.0, n))
+        v = np.cumsum(rng.uniform(0.01, 2.0, n)) * (-1) ** k
+        tables.append((f"monotone{k}", q, v))
+        # secants that change sign, and flat segments from repeated values
+        tables.append((f"wavy{k}", q, rng.normal(size=n)))
+        tables.append((f"flat{k}", q, rng.integers(-2, 3, n).astype(float)))
+    q4 = np.array([0.3, 0.9, 1.4, 2.6])
+    tables.append(("minimal", q4, np.array([2.0, 1.1, 0.7, 0.2])))
+    # end slope opposite to the end secant: set to 0
+    tables.append(("end_zero", q4, np.array([0.0, 0.6, 5.6, 6.8])))
+    # secants change sign and the end slope exceeds 3 secants: set to 3 m0
+    tables.append(("end_clip", q4, np.array([0.0, 0.6, -4.4, -3.2])))
+    return tables
+
+
+def _vanishing(dV):
+    return np.min(np.abs(dV)) < 1e-12 or np.min(dV) * np.max(dV) <= 0
+
+
+@pytest.mark.parametrize("name,q,v", _pchip_tables(), ids=[t[0] for t in _pchip_tables()])
+def test_pchip_matches_scipy(name, q, v):
+    """Slopes, V and V' against scipy's PchipInterpolator, inside and beyond
+    the nodes, to 1e-13 of the largest magnitude; the table is rejected for
+    a vanishing derivative exactly when scipy's interpolant would be."""
+    from scipy.interpolate import PchipInterpolator
+
+    ref = PchipInterpolator(q, v)
+    dref = ref.derivative()
+    close = lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-13,
+                                                    atol=1e-13 * np.max(np.abs(b)))
+    value, derivative = pchip(q, v)
+    d = derivative(q)                       # the node slopes
+    close(d[:-1], ref.c[2])                 # the cubic on [q_i, q_i+1] starts with d_i
+    close(d[-1], dref(q[-1]))
+    span = q[-1] - q[0]
+    x = np.linspace(q[0] - 0.3 * span, q[-1] + 0.3 * span, 2000)
+    close(value(x), ref(x))
+    close(derivative(x), dref(x))
+    if name == "end_zero":
+        assert d[0] == 0.0
+    if name == "end_clip":
+        assert d[0] == 3.0 * (v[1] - v[0]) / (q[1] - q[0])
+    if _vanishing(dref(np.linspace(q[0], q[-1], 512))):
+        with pytest.raises(DomainError):
+            table_potential(q, v)
+    else:
+        table_potential(q, v)
+
+
+def test_pchip_tables_take_both_verdicts():
+    """The tables above include accepted and rejected potentials."""
+    from scipy.interpolate import PchipInterpolator
+
+    verdicts = {
+        _vanishing(PchipInterpolator(q, v).derivative()(np.linspace(q[0], q[-1], 512)))
+        for _, q, v in _pchip_tables()
+    }
+    assert verdicts == {True, False}
 
 
 def test_legendre_roundtrip(rng):

@@ -1,15 +1,19 @@
-"""Import budget: `import magsphere` and the cot-potential CLI paths load
-numpy and no scipy module.  scipy loads only inside the calls that need it,
-the tabulated potential and the isosceles window of the atlas.
+"""Import budget: magsphere runs on numpy alone.  `import magsphere`, the
+cot-potential CLI paths, the tabulated potential and the atlas's isosceles
+window load no scipy module, and no module under src/magsphere imports it.
 
-Each check runs in a fresh interpreter, since this one has long since
+Each run check uses a fresh interpreter, since this one has long since
 imported scipy for other tests.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SCIPY_MODULES = "sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.'))"
@@ -40,17 +44,44 @@ print({SCIPY_MODULES})
     assert out.read_text().startswith("t,m1,m2,m3,q,p,H,C\n")
 
 
-def test_calls_that_need_scipy_load_it_themselves():
+def test_table_potential_and_isosceles_window_load_no_scipy(tmp_path):
+    table = tmp_path / "pot.csv"
     code = f"""
 import sys
 import numpy as np
-from magsphere import atlas, table_potential
-assert {SCIPY_MODULES} == []
-q0, q1 = atlas.type2_window(2.5)
-assert 0 < q0 < atlas.Q_CRITICAL < q1 < np.pi
+from magsphere import atlas, cli, table_potential
 q = np.linspace(0.1, np.pi - 0.1, 40)
+np.savetxt({str(table)!r}, np.column_stack([q, 1.0 / np.tan(q)]), delimiter=",")
 V = table_potential(q, 1.0 / np.tan(q))
 assert abs(V.value(1.2) - 1.0 / np.tan(1.2)) < 1e-3
-print("scipy.optimize" in sys.modules and "scipy.interpolate" in sys.modules)
+q0, q1 = atlas.type2_window(2.5)
+assert 0 < q0 < atlas.Q_CRITICAL < q1 < np.pi
+assert len(atlas.bc_region().traces) == 120
+for argv in (["atlas", "--diagram", "ec", "--B", "2.5"], ["atlas", "--diagram", "bc"],
+             ["equilibria", "--mu1", "1.3", "--B", "1", "--q", "1.2", "--potential",
+              "custom-table", "--potential-file", {str(table)!r}]):
+    assert cli.main([*argv, "--out", {str(tmp_path / "out")!r}]) == 0
+print({SCIPY_MODULES})
 """
-    assert _fresh(code) == "True"
+    assert _fresh(code) == "[]"
+
+
+def test_no_module_imports_scipy():
+    for path in sorted((SRC / "magsphere").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "scipy" or n.startswith("scipy.") for n in names), \
+                f"{path.name}:{node.lineno} imports scipy"
+
+
+def test_scipy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    name = lambda requirement: re.match(r"[\w.-]+", requirement).group().lower()
+    assert "scipy" not in map(name, project["dependencies"])
+    assert "scipy" in map(name, project["optional-dependencies"]["test"])

@@ -13,7 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from magsphere.core import SystemParams, cot_potential
+from magsphere.core import SystemParams, cot_potential, table_potential
 from magsphere.fullspace import _project, full_rhs, geodesic_distance, one_particle_rhs
 from magsphere.reduced import _casimir_projection, casimir_array, rhs, shifted_momentum
 
@@ -99,3 +99,20 @@ def test_geodesic_distance_one_state_equals_batch_column(states):
        st.lists(st.tuples(*[unit] * 6), min_size=1, max_size=8))
 def test_one_particle_rhs_one_state_equals_batch_column(mu, e, B, states):
     _assert_columns(lambda y: one_particle_rhs(y, mu, e, B), _batch(states))
+
+
+TABLE_Q = np.linspace(0.2, np.pi - 0.2, 64)
+TABLE = table_potential(TABLE_Q, 1.0 / np.tan(TABLE_Q) + 0.5 * TABLE_Q)
+
+
+@FIXED
+@given(st.lists(st.one_of(st.floats(0.01, np.pi - 0.01), st.sampled_from(TABLE_Q.tolist())),
+                min_size=1, max_size=8))
+def test_table_potential_one_q_equals_batch_column(qs):
+    """V and V' of a table at one float q (on a node, between nodes or
+    beyond the end nodes) equal that q's column of the array call."""
+    for f in (TABLE.value, TABLE.derivative):
+        batch = f(np.array(qs))
+        for j, q in enumerate(qs):
+            one = f(q)
+            assert isinstance(one, float) and np.array_equal(one, batch[j]), j
