@@ -8,7 +8,6 @@ limit study of the side-by-side family at the right angle.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence
@@ -20,6 +19,7 @@ from .core import (
     DomainError,
     Tolerances,
     cot_potential,
+    csv_text,
     identical_params,
 )
 from .equilibria import (
@@ -36,6 +36,7 @@ from .stability import stability_arrays
 
 B_CRITICAL = (4.0 / 3.0) * 3.0**0.25      # minimum of the existence threshold
 Q_CRITICAL = 2.0 * np.pi / 3.0
+EC_COLUMNS = ("branch", "q", "C", "H", "tag")
 
 
 # ---------------------------------------------------------------------------
@@ -72,21 +73,8 @@ class AtlasGrid:
     metadata: dict
 
 
-def _metadata(potential: str, tol: Tolerances) -> dict:
-    return {
-        "potential": potential,
-        "tol_residual": tol.record_residual,
-        "tol_classify": tol.classify,
-    }
-
-
 def csv_with_metadata(columns: Sequence[str], rows: Iterable[Sequence], metadata: dict) -> str:
-    buf = io.StringIO()
-    buf.write("# " + " ".join(f"{k}={v}" for k, v in metadata.items()) + "\n")
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(v if isinstance(v, str) else f"{v:.15g}" for v in row) + "\n")
-    return buf.getvalue()
+    return csv_text(columns, rows, metadata)
 
 
 def json_with_metadata(payload, metadata: dict) -> str:
@@ -149,6 +137,16 @@ class EnergyCasimirDiagram:
     @property
     def cusps(self) -> list:
         return [c for b in self.branches for c in b.cusps]
+
+    def rows(self) -> list:
+        """The rows of `magsphere atlas --diagram ec` (EC_COLUMNS): each
+        branch's points, then its cusps tagged `cusp`."""
+        rows = []
+        for b in self.branches:
+            points = zip(b.q.tolist(), b.C.tolist(), b.H.tolist())
+            rows += [(b.tag, q, C, H, "") for q, C, H in points]
+            rows += [(b.tag, q, C, H, "cusp") for q, C, H in b.cusps]
+        return rows
 
 
 def _quadratic_vertex(x, y) -> float:
@@ -409,8 +407,6 @@ def stability_grid(
     kept = zip(grid.cell.tolist(), grid.family, grid.H.tolist(), grid.C.tolist(), classes)
     for i, family, H, C, cls in kept:
         cells[i]["entries"].append((family.value, H, C, cls.value))
-    return AtlasGrid(
-        axes={"q": q_axis, "B": B_axis},
-        cells=cells,
-        metadata=_metadata("cot", tol),
-    )
+    metadata = {"potential": "cot", "tol_residual": tol.record_residual,
+                "tol_classify": tol.classify}
+    return AtlasGrid(axes={"q": q_axis, "B": B_axis}, cells=cells, metadata=metadata)

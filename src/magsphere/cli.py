@@ -110,7 +110,9 @@ class RunConfig:
         """The default tolerances with `tol` as the record residual cut."""
         return dataclasses.replace(DEFAULT_TOL, record_residual=self.tol)
 
-    def make_potential(self) -> Potential:
+    def make_potential(self, qs) -> Potential:
+        """The potential.  A table defines V on [q_0, q_n] only, so each q in
+        `qs`, the values the command evaluates, must lie there."""
         if self.potential == "cot":
             return cot_potential(self.params())
         if self.potential == "custom-table":
@@ -122,7 +124,12 @@ class RunConfig:
                 raise ConfigError(f"cannot read potential table: {exc}") from exc
             if data.ndim != 2 or data.shape[1] != 2:
                 raise ConfigError("potential table must have two columns")
-            return table_potential(data[:, 0], data[:, 1])
+            V = table_potential(data[:, 0], data[:, 1])
+            lo, hi = data[0, 0], data[-1, 0]
+            for q in qs:
+                if not lo <= q <= hi:
+                    raise ConfigError(f"q={q} lies outside the potential table [{lo}, {hi}]")
+            return V
         raise ConfigError(f"unknown potential {self.potential!r}")
 
     def to_dict(self) -> dict:
@@ -164,7 +171,7 @@ def cmd_simulate(config: RunConfig) -> int:
     if config.q is None:
         raise ConfigError("simulate needs --q for the initial state")
     params = config.params()
-    V = config.make_potential()
+    V = config.make_potential([config.q])
     state = ReducedState(config.m1, config.m2, config.m3, config.q, config.p)
     traj = integrate(state, params, V, config.t_end, config.dt)
     _write(config.out, traj.to_csv())
@@ -197,9 +204,8 @@ def cmd_equilibria(config: RunConfig) -> int:
     if config.family in ("type1", "type2") and not closed_form:
         raise ConfigError(f"--family {config.family} selects closed-form equilibria, "
                           "which exist for identical particles with V = cot only")
-    V = config.make_potential()
     if config.family == "right-angle":
-        result = solve_right_angle(params, V, tol)
+        result = solve_right_angle(params, config.make_potential([np.pi / 2]), tol)
         if isinstance(result, RightAngleFamily):
             payload = {"family": "RightAngleFamily", "product": result.product}
         else:
@@ -216,7 +222,7 @@ def cmd_equilibria(config: RunConfig) -> int:
         # the grid lists cells q outer; the output lists them B outer
         records = grid.take(np.argsort(grid.cell % len(Bs), kind="stable")).records()
     else:
-        records = []
+        V, records = config.make_potential(qs), []
         for B in Bs:
             p = dataclasses.replace(params, B=float(B))
             for q in qs:
@@ -245,52 +251,34 @@ def cmd_stability(config: RunConfig) -> int:
 def cmd_atlas(config: RunConfig) -> int:
     _require_identical_cot(config)
     md = {"diagram": config.diagram, "B": config.B, "potential": config.potential}
+    if config.diagram == "bc":
+        region = atlas.bc_region()
+        traces = [{"B": t["B"], "C_min": t["C_min"], "C_max": t["C_max"]} for t in region.traces]
+        payload = {"meeting_point": list(region.meeting_point), "traces": traces}
+        _write(config.out, atlas.json_with_metadata(payload, md))
+        return 0
+    if config.diagram == "zero-casimir":
+        rep = atlas.zero_casimir_no_equilibria(config.B)
+        _write(config.out, atlas.json_with_metadata(dataclasses.asdict(rep), md))
+        return 0
     if config.diagram == "threshold":
         qs = config.grid_q.axis() if config.grid_q else atlas.default_q_axis(200)
         curve = atlas.threshold_curve(qs)
-        rows = [(q, B) for q, B in curve.points]
+        columns, rows = ("q", "B"), curve.points
         md["min_q"], md["min_B"] = curve.minimum
-        _write(config.out, atlas.csv_with_metadata(("q", "B"), rows, md))
     elif config.diagram == "type1-stability":
         qs = config.grid_q.axis() if config.grid_q else np.linspace(0.05, np.pi / 2 - 0.01, 200)
-        rows = [(q, type1_boundary(q)) for q in qs]
-        _write(config.out, atlas.csv_with_metadata(("q", "B"), rows, md))
+        columns, rows = ("q", "B"), [(q, type1_boundary(q)) for q in qs]
     elif config.diagram == "ec":
-        d = atlas.energy_casimir_diagram(config.B)
-        rows = []
-        for b in d.branches:
-            for q, C, H in zip(b.q, b.C, b.H):
-                rows.append((b.tag, q, C, H, ""))
-            for qc, Cc, Hc in b.cusps:
-                rows.append((b.tag, qc, Cc, Hc, "cusp"))
-        _write(config.out, atlas.csv_with_metadata(("branch", "q", "C", "H", "tag"), rows, md))
-    elif config.diagram == "bc":
-        region = atlas.bc_region()
-        payload = {
-            "meeting_point": list(region.meeting_point),
-            "traces": [
-                {"B": t["B"], "C_min": t["C_min"], "C_max": t["C_max"]}
-                for t in region.traces
-            ],
-        }
-        _write(config.out, atlas.json_with_metadata(payload, md))
-    elif config.diagram == "zero-casimir":
-        rep = atlas.zero_casimir_no_equilibria(config.B)
-        _write(config.out, atlas.json_with_metadata(dataclasses.asdict(rep), md))
+        columns, rows = atlas.EC_COLUMNS, atlas.energy_casimir_diagram(config.B).rows()
     elif config.diagram == "appendix-limits":
-        reports = [atlas.appendix_limit_study(a) for a in (0.0, 1.0, 2.0)]
-        rows = [
-            (r.slope, r.m2_limit, r.m3_limit, r.product_limit, r.witness_product)
-            for r in reports
-        ]
-        _write(
-            config.out,
-            atlas.csv_with_metadata(
-                ("a", "m2_limit", "m3_limit", "product_limit", "witness_product"), rows, md
-            ),
-        )
+        columns = ("a", "m2_limit", "m3_limit", "product_limit", "witness_product")
+        reports = map(atlas.appendix_limit_study, (0.0, 1.0, 2.0))
+        rows = [(r.slope, r.m2_limit, r.m3_limit, r.product_limit, r.witness_product)
+                for r in reports]
     else:
         raise ConfigError(f"unknown diagram {config.diagram!r}")
+    _write(config.out, atlas.csv_with_metadata(columns, rows, md))
     return 0
 
 
@@ -298,7 +286,7 @@ def cmd_reconstruct(config: RunConfig) -> int:
     if config.q is None:
         raise ConfigError("reconstruct needs --q for the reduced state")
     params = config.params()
-    V = config.make_potential()
+    V = config.make_potential([config.q])
     state = ReducedState(config.m1, config.m2, config.m3, config.q, config.p)
     full = full_integrate(lift_state(state, params), params, V, config.t_end, config.dt)
     _write(config.out, full.to_csv())

@@ -12,7 +12,8 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -325,6 +326,23 @@ def table_potential(q_nodes, v_nodes) -> Potential:
     if np.min(np.abs(dprobe)) < 1e-12 or np.min(dprobe) * np.max(dprobe) <= 0:
         raise DomainError("potential table has vanishing derivative; V'(q) != 0 required")
     return Potential(value, derivative, name="custom-table", analytic=False)
+
+
+def csv_text(columns: Sequence[str], rows: Iterable[Sequence],
+             metadata: Optional[dict] = None) -> str:
+    """The one CSV writer: an optional `# k=v ...` metadata line, the header,
+    then one line per row.  One `%` row template serves the whole table,
+    `%s` for a column whose first value is a str and `%.15g` for any other,
+    which writes a float, numpy float, int or bool as f"{v:.15g}" does."""
+    head = ",".join(columns) + "\n"
+    if metadata is not None:
+        head = "# " + " ".join(f"{k}={v}" for k, v in metadata.items()) + "\n" + head
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return head
+    template = ",".join("%s" if isinstance(v, str) else "%.15g" for v in first) + "\n"
+    return head + "".join([template % tuple(r) for r in chain([first], rows)])
 
 
 def kinetic_gradient(x, params: SystemParams):

@@ -24,6 +24,7 @@ from .core import (
     ReducedState,
     SystemParams,
     body_velocity_to_reduced,
+    csv_text,
     mathlib,
     reduced_to_body_velocity,
     rk4,
@@ -162,9 +163,7 @@ class FullTrajectory:
     def to_csv(self) -> str:
         cols = [f"{v}{i}{a}" for v in ("q", "p") for i in (1, 2) for a in "xyz"]
         table = np.column_stack([self.times, self.states, self.phi])
-        row = ",".join(["%.15g"] * table.shape[1]) + "\n"
-        header = "t," + ",".join(cols) + ",phix,phiy,phiz\n"
-        return header + "".join(row % tuple(r) for r in table.tolist())
+        return csv_text(["t", *cols, "phix", "phiy", "phiz"], table.tolist())
 
 
 def _distance_guard(y0):

@@ -18,6 +18,7 @@ from .core import (
     Q_EDGE,
     ReducedState,
     SystemParams,
+    csv_text,
     kinetic_gradient,
     mathlib,
     rk4,
@@ -197,8 +198,7 @@ class Trajectory:
 
     def to_csv(self) -> str:
         table = np.column_stack([self.times, self.states, self.energy, self.casimir])
-        row = ",".join(["%.15g"] * table.shape[1]) + "\n"
-        return "t,m1,m2,m3,q,p,H,C\n" + "".join(row % tuple(r) for r in table.tolist())
+        return csv_text(("t", "m1", "m2", "m3", "q", "p", "H", "C"), table.tolist())
 
 
 def _casimir_projection(x, params: SystemParams, c_target: float):

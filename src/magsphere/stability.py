@@ -10,9 +10,9 @@ is read off the pair (a, b).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, List
 
 import numpy as np
@@ -23,6 +23,7 @@ from .core import (
     Potential,
     ResidualTooLarge,
     Tolerances,
+    csv_text,
     identical_params,
 )
 from .equilibria import EquilibriumRecord, GridEquilibria, passes_residual_cut
@@ -228,11 +229,5 @@ def stability_rows(
 
 
 def stability_csv(rows: Iterable[dict]) -> str:
-    buf = io.StringIO()
-    buf.write("q,B,family,a,b,class,n_plus,n_minus,n_zero\n")
-    for r in rows:
-        buf.write(
-            f"{r['q']:.15g},{r['B']:.15g},{r['family']},{r['a']:.15g},{r['b']:.15g},"
-            f"{r['class']},{r['n_plus']},{r['n_minus']},{r['n_zero']}\n"
-        )
-    return buf.getvalue()
+    columns = ("q", "B", "family", "a", "b", "class", "n_plus", "n_minus", "n_zero")
+    return csv_text(columns, map(itemgetter(*columns), rows))

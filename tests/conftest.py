@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -25,3 +27,16 @@ def random_states(rng, n, q_range=(0.3, 2.8), scale=1.0):
     out[:, [0, 1, 2, 4]] = rng.uniform(-scale, scale, (n, 4))
     out[:, 3] = rng.uniform(*q_range, n)
     return out
+
+
+def per_value_csv(columns, rows, metadata=None):
+    """The CSV rule value by value, the reference for `core.csv_text`: the
+    optional metadata line, the header, then each value as itself if it is
+    a str and as f"{v:.15g}" otherwise."""
+    buf = io.StringIO()
+    if metadata is not None:
+        buf.write("# " + " ".join(f"{k}={v}" for k, v in metadata.items()) + "\n")
+    buf.write(",".join(columns) + "\n")
+    for row in rows:
+        buf.write(",".join(v if isinstance(v, str) else f"{v:.15g}" for v in row) + "\n")
+    return buf.getvalue()

@@ -247,6 +247,20 @@ def test_type1_axis_angles_coincide_only_without_field():
     assert c1 + c2 == pytest.approx(0.0, abs=1e-12)
 
 
+def test_ec_rows_list_each_branch_then_its_cusps():
+    """`rows()` gives, branch by branch, each point untagged and then each
+    cusp tagged `cusp`."""
+    d = atlas.energy_casimir_diagram(2.5)
+    rows = iter(d.rows())
+    assert len(d.cusps) == 3
+    for b in d.branches:
+        for q, C, H in zip(b.q, b.C, b.H):
+            assert next(rows) == (b.tag, q, C, H, "")
+        for cusp in b.cusps:
+            assert next(rows) == (b.tag, *cusp, "cusp")
+    assert next(rows, None) is None
+
+
 def test_csv_and_json_emission():
     text = atlas.csv_with_metadata(("q", "B"), [(1.0, 2.0)], {"potential": "cot"})
     lines = text.splitlines()

@@ -255,6 +255,44 @@ def test_custom_table_potential(tmp_path):
     assert len(records) >= 1 and all(r["residual"] < 1e-9 for r in records)
 
 
+TABLE_RANGE = {
+    "equilibria_q": ["equilibria", "--mu1", "1.3", "--B", "1", "--q", "1.2"],
+    "equilibria_grid_q": ["equilibria", "--mu1", "1.3", "--B", "1", "--grid-q", "0.6:0.9:4"],
+    "equilibria_below": ["equilibria", "--mu1", "1.3", "--B", "1", "--q", "0.4"],
+    "right_angle": ["equilibria", "--mu1", "1.3", "--B", "1", "--family", "right-angle"],
+    "simulate": ["simulate", "--mu1", "1.3", "--B", "1", "--q", "1.2", "--m3", "0.1"],
+    "reconstruct": ["reconstruct", "--mu1", "1.3", "--B", "1", "--q", "0.45", "--m3", "0.1"],
+}
+
+
+@pytest.mark.parametrize("argv", TABLE_RANGE.values(), ids=TABLE_RANGE.keys())
+def test_q_outside_the_potential_table_is_a_config_error(tmp_path, capsys, argv):
+    """A table defines V on [q_0, q_n] only: a command refuses any q it
+    would evaluate beyond it (each --q and --grid-q value, pi/2 for the
+    right-angle family) and writes nothing."""
+    qs = np.linspace(0.5, 0.8, 20)
+    table = tmp_path / "pot.csv"
+    np.savetxt(table, np.column_stack([qs, 1 / np.tan(qs)]), delimiter=",")
+    out = tmp_path / "out"
+    argv = [*argv, "--potential", "custom-table", "--potential-file", str(table)]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"config error: q=\S+ lies outside the potential table \[0.5, 0.8\]\n", err)
+    assert not out.exists()
+
+
+def test_q_on_the_potential_table_is_evaluated(tmp_path):
+    """Every q on [q_0, q_n], the end nodes included, is accepted."""
+    qs = np.linspace(0.5, 0.8, 20)
+    table = tmp_path / "pot.csv"
+    np.savetxt(table, np.column_stack([qs, 1 / np.tan(qs)]), delimiter=",")
+    pot = ["--potential", "custom-table", "--potential-file", str(table)]
+    for argv in (["equilibria", "--mu1", "1.3", "--B", "1", "--grid-q", "0.5:0.8:4"],
+                 ["simulate", "--mu1", "1.3", "--B", "1", "--q", "0.65", "--m3", "0.01",
+                  "--t-end", "0.01", "--dt", "0.001"]):
+        assert main([*argv, *pot, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_potential_table_with_a_header_is_a_config_error(tmp_path, capsys):
     qs = np.linspace(0.2, 2.9, 60)
     table = tmp_path / "pot.csv"

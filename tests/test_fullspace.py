@@ -216,16 +216,6 @@ def test_one_particle_rhs_matches_cross_product_formula(rng):
         assert _rel(one_particle_rhs(y, mu, e, B), _ref_one_particle_rhs(y, mu, e, B)) < 1e-14
 
 
-def test_full_csv_matches_row_by_row_formatting(params, V):
-    traj = full_integrate(lift_state(ReducedState(0.05, -0.1, 0.12, 1.5, 0.03), params),
-                          params, V, t_end=0.2, dt=1e-2)
-    cols = [f"{v}{i}{a}" for v in ("q", "p") for i in (1, 2) for a in "xyz"]
-    ref = "t," + ",".join(cols) + ",phix,phiy,phiz\n"
-    for t, y, f in zip(traj.times, traj.states, traj.phi):
-        ref += ",".join(f"{v:.15g}" for v in [t, *y, *f]) + "\n"
-    assert traj.to_csv() == ref
-
-
 def test_full_integrate_non_finite_state(params):
     """A NaN force is reported as NonFiniteState at the first step, before
     the distance guard sees the NaN state."""

@@ -3,19 +3,22 @@ exactly the values that it gives that state as column j of a (d, N) batch.
 
 The float path takes sin, cos and sqrt from `math` and the batch path from
 numpy (`core.mathlib`); both take numpy's arctan2.  The kernels share one
-source, so the two agree bit for bit wherever those functions do.  Examples
-are derandomized: every run draws the same ones.
+source, so the two agree bit for bit wherever those functions do.  The one
+CSV writer, `core.csv_text`, gives the bytes of the per-value rule on any
+table.  Examples are derandomized: every run draws the same ones.
 """
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from magsphere.core import SystemParams, cot_potential, table_potential
+from magsphere.core import SystemParams, cot_potential, csv_text, table_potential
 from magsphere.fullspace import _project, full_rhs, geodesic_distance, one_particle_rhs
 from magsphere.reduced import _casimir_projection, casimir_array, rhs, shifted_momentum
+
+from conftest import per_value_csv
 
 FIXED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -116,3 +119,35 @@ def test_table_potential_one_q_equals_batch_column(qs):
         for j, q in enumerate(qs):
             one = f(q)
             assert isinstance(one, float) and np.array_equal(one, batch[j]), j
+
+
+EDGE_FLOATS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308 / 3,
+               1e300, -1e-300, 1.7976931348623157e308, 0.1, 1e15, 123456789012345678.0]
+numbers = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(),                                   # nan, inf and subnormals included
+    st.floats().map(np.float64),
+    st.integers(-2**64, 2**64),
+    st.booleans(),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """(columns, rows): each column holds str values or numbers of any of
+    the kinds above, mixed."""
+    is_str = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+    rows = draw(st.lists(st.tuples(*[st.text() if s else numbers for s in is_str]), max_size=8))
+    return [f"c{i}" for i in range(len(is_str))], rows
+
+
+@FIXED
+@given(csv_tables(), st.none() | st.dictionaries(st.text(min_size=1), st.text() | numbers,
+                                                 max_size=3))
+@example((["q", "tag"], []), None)
+@example((["q", "tag"], []), {"B": 2.5})
+def test_csv_text_equals_the_per_value_rule(table, metadata):
+    """One `%` row template per table writes each value as the per-value
+    rule does, with and without the metadata line and for zero rows."""
+    columns, rows = table
+    assert csv_text(columns, rows, metadata) == per_value_csv(columns, rows, metadata)

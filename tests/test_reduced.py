@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from magsphere import atlas
 from magsphere.core import (
+    DEFAULT_TOL,
     CollisionApproach,
     DomainError,
     NonFiniteState,
@@ -12,6 +14,8 @@ from magsphere.core import (
     cot_potential,
     identical_params,
 )
+from magsphere.equilibria import closed_form_grid
+from magsphere.fullspace import full_integrate, lift_state
 from magsphere.reduced import (
     casimir_array,
     grad_casimir,
@@ -22,8 +26,9 @@ from magsphere.reduced import (
     residual,
     rhs,
 )
+from magsphere.stability import stability_csv, stability_rows, type1_boundary
 
-from conftest import random_states
+from conftest import per_value_csv, random_states
 
 GENERAL = SystemParams(1.3, 0.7, 1.0, -2.0, 0.9)
 
@@ -171,12 +176,48 @@ def test_integrate_equals_plain_rk4_loop(rng, p):
         assert np.array_equal(traj.times, np.array([i * 1e-3 for i in range(501)]))
 
 
-def test_trajectory_csv_matches_row_by_row_formatting(params, V):
-    traj = integrate(ReducedState(0.05, -0.1, 0.12, 1.5, 0.03), params, V, t_end=0.5, dt=1e-2)
-    ref = "t,m1,m2,m3,q,p,H,C\n"
-    for t, x, h, c in zip(traj.times, traj.states, traj.energy, traj.casimir):
-        ref += ",".join(f"{v:.15g}" for v in [t, *x, h, c]) + "\n"
-    assert traj.to_csv() == ref
+def _written_table(writer, params, V):
+    """A CSV writer on a real table: the text it writes, and the columns,
+    metadata and rows of that text."""
+    state = ReducedState(0.05, -0.1, 0.12, 1.5, 0.03)
+    if writer == "Trajectory.to_csv":
+        traj = integrate(state, params, V, t_end=0.5, dt=1e-2)
+        rows = [[t, *x, h, c] for t, x, h, c in
+                zip(traj.times, traj.states, traj.energy, traj.casimir)]
+        return traj.to_csv(), ["t", "m1", "m2", "m3", "q", "p", "H", "C"], None, rows
+    if writer == "FullTrajectory.to_csv":
+        full = full_integrate(lift_state(state, params), params, V, t_end=0.2, dt=1e-2)
+        rows = [[t, *y, *f] for t, y, f in zip(full.times, full.states, full.phi)]
+        cols = [f"{v}{i}{a}" for v in ("q", "p") for i in (1, 2) for a in "xyz"]
+        return full.to_csv(), ["t", *cols, "phix", "phiy", "phiz"], None, rows
+    if writer == "stability_csv":
+        grid = closed_form_grid(np.linspace(0.3, 3.0, 12), np.linspace(0.5, 5.0, 6), "both")
+        rows = stability_rows(grid.cut(DEFAULT_TOL), V)
+        return stability_csv(rows), list(rows[0]), None, [list(r.values()) for r in rows]
+    if writer == "threshold":
+        columns, rows = ("q", "B"), atlas.threshold_curve(atlas.default_q_axis(200)).points
+    elif writer == "type1-stability":
+        qs = np.linspace(0.05, np.pi / 2 - 0.01, 200)
+        columns, rows = ("q", "B"), [(q, type1_boundary(q)) for q in qs]
+    elif writer == "ec":
+        columns, rows = atlas.EC_COLUMNS, atlas.energy_casimir_diagram(2.5).rows()
+    else:
+        columns = ("a", "m2_limit", "m3_limit", "product_limit", "witness_product")
+        reports = [atlas.appendix_limit_study(a) for a in (0.0, 1.0, 2.0)]
+        rows = [(r.slope, r.m2_limit, r.m3_limit, r.product_limit, r.witness_product)
+                for r in reports]
+    md = {"diagram": writer, "B": 2.5, "potential": "cot"}
+    return atlas.csv_with_metadata(columns, rows, md), columns, md, rows
+
+
+@pytest.mark.parametrize("writer", ["Trajectory.to_csv", "FullTrajectory.to_csv", "stability_csv",
+                                    "threshold", "type1-stability", "ec", "appendix-limits"])
+def test_trajectory_csv_matches_row_by_row_formatting(writer, params, V):
+    """Every CSV writer gives the per-value rule's bytes on a real table:
+    the two trajectories, `stability_csv` and the `atlas` diagrams."""
+    text, columns, metadata, rows = _written_table(writer, params, V)
+    assert len(rows) > 2
+    assert text == per_value_csv(columns, rows, metadata)
 
 
 def test_integrate_non_finite_state(params):
