@@ -125,7 +125,7 @@ class RunConfig:
             if data.ndim != 2 or data.shape[1] != 2:
                 raise ConfigError("potential table must have two columns")
             V = table_potential(data[:, 0], data[:, 1])
-            lo, hi = data[0, 0], data[-1, 0]
+            lo, hi = V.q_range
             for q in qs:
                 if not lo <= q <= hi:
                     raise ConfigError(f"q={q} lies outside the potential table [{lo}, {hi}]")

@@ -207,13 +207,15 @@ class Potential:
 
     `value` and `derivative` must be supplied together.  `analytic` marks
     callables that accept complex arguments, which enables complex-step
-    differentiation.
+    differentiation.  `q_range` is where V is defined: all of [0, pi], or
+    the nodes [q_0, q_n] of a table.
     """
 
     value: Callable[[float], float]
     derivative: Callable[[float], float]
     name: str = "custom"
     analytic: bool = False
+    q_range: tuple[float, float] = (0.0, math.pi)
 
 
 def cot_potential(params: SystemParams) -> Potential:
@@ -307,7 +309,8 @@ def pchip(x, y):
 
 
 def table_potential(q_nodes, v_nodes) -> Potential:
-    """Potential sampled on a grid, with monotone-cubic interpolation (`pchip`).
+    """Potential sampled on a grid, with monotone-cubic interpolation (`pchip`),
+    defined on the nodes' range [q_0, q_n] (its `q_range`).
 
     Rejects tables whose interpolated derivative vanishes somewhere on the
     covered range, since the equilibrium theory assumes V'(q) != 0.
@@ -325,7 +328,8 @@ def table_potential(q_nodes, v_nodes) -> Potential:
     dprobe = derivative(probe)
     if np.min(np.abs(dprobe)) < 1e-12 or np.min(dprobe) * np.max(dprobe) <= 0:
         raise DomainError("potential table has vanishing derivative; V'(q) != 0 required")
-    return Potential(value, derivative, name="custom-table", analytic=False)
+    q_range = (float(q_nodes[0]), float(q_nodes[-1]))
+    return Potential(value, derivative, name="custom-table", analytic=False, q_range=q_range)
 
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence],

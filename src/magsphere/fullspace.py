@@ -166,17 +166,24 @@ class FullTrajectory:
         return csv_text(["t", *cols, "phix", "phiy", "phiz"], table.tolist())
 
 
-def _distance_guard(y0):
-    """The guard of a run from y0.  It raises CollisionApproach when the
-    geodesic distance leaves [Q_EDGE, pi - Q_EDGE], and also when the
+def _distance_guard(y0, V: Potential):
+    """The guard of a run from y0 under V.  It raises CollisionApproach when
+    the geodesic distance leaves [Q_EDGE, pi - Q_EDGE], and also when the
     orientation q1 x q2 reverses from one step to the next: the particles
-    then passed through collision or antipodal placement within the step."""
+    then passed through collision or antipodal placement within the step.
+    It raises DomainError when the distance leaves `V.q_range`.  A step
+    tests the distance once, against the intersection of the two ranges."""
     last = _cross_and_distance(y0[0:3], y0[3:6])[0]
+    lo, hi = V.q_range
+    a, b = max(lo, Q_EDGE), min(hi, np.pi - Q_EDGE)
 
     def guard(y, t: float) -> None:
         nonlocal last
         c, q = _cross_and_distance(y[0:3], y[3:6])
-        if not (Q_EDGE <= q <= np.pi - Q_EDGE):
+        if not a <= q <= b:
+            if Q_EDGE <= q <= np.pi - Q_EDGE:
+                raise DomainError(
+                    f"geodesic distance {q} left the potential table [{lo}, {hi}] at t={t}")
             raise CollisionApproach(f"geodesic distance {q} left guarded domain at t={t}")
         if c[0] * last[0] + c[1] * last[1] + c[2] * last[2] < 0:
             raise CollisionApproach(
@@ -198,13 +205,13 @@ def full_integrate(
     """RK4 (`core.rk4`) with projection of every stage and step onto the
     sphere and its tangent planes; the momentum map is taken on the stored
     trajectory.  Raises DomainError unless t_end is a whole number of steps
-    dt, CollisionApproach if the particles come within Q_EDGE of collision
-    or of antipodal placement or pass through either within a step, and
-    NonFiniteState on numeric blow-up."""
+    dt or if the distance leaves `V.q_range`, CollisionApproach if the
+    particles come within Q_EDGE of collision or of antipodal placement or
+    pass through either within a step, and NonFiniteState on numeric blow-up."""
     n_steps = step_count(t_end, dt)
     y0 = initial.as_array()
     # full_rhs is looked up at call time, so a wrapper bound in its place sees every call
-    states = rk4(lambda y: full_rhs(y, params, V), y0, dt, n_steps, _project, _distance_guard(y0))
+    states = rk4(lambda y: full_rhs(y, params, V), y0, dt, n_steps, _project, _distance_guard(y0, V))
     phi = momentum_map_array(states.T, params).T
     return FullTrajectory(np.arange(n_steps + 1) * dt, states, phi, params)
 

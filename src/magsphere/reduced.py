@@ -1,9 +1,9 @@
 """The reduced Poisson system on (m1, m2, m3, q, p).
 
-Hamiltonian, Casimir, bracket matrix, equations of motion, the one
-derivative-matrix helper (complex step or central differences) and a
-fixed-step integrator with invariant monitoring.  The bracket table is normative; a
-test pins the identity rhs = sigma . grad(H).
+Hamiltonian, Casimir and its closed-form Hessian, bracket matrix, equations
+of motion, the one derivative-matrix helper (complex step or central
+differences) and a fixed-step integrator with invariant monitoring.  The
+bracket table is normative; a test pins the identity rhs = sigma . grad(H).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import (
     CollisionApproach,
+    DomainError,
     Potential,
     Q_EDGE,
     ReducedState,
@@ -93,23 +94,33 @@ def grad_casimir(x, params: SystemParams):
     )
 
 
+def hessian_casimir(x, params: SystemParams) -> np.ndarray:
+    """D2C at states x of shape (5, ...), with shape (..., 5, 5), in closed
+    form: with b = B e2, 2 on the m diagonal, d2C/dm2dq = -2b cos q,
+    d2C/dm3dq = -2b sin q and d2C/dq2 = 2b (m2 sin q - (m3 + B e1) cos q)."""
+    m1, m2, m3, q, p = x
+    b = params.B * params.e2
+    s, c = np.sin(q), np.cos(q)
+    D = np.zeros(np.shape(m2 * b) + (5, 5))
+    D[..., (0, 1, 2), (0, 1, 2)] = 2.0
+    D[..., 1, 3] = D[..., 3, 1] = -2 * b * c
+    D[..., 2, 3] = D[..., 3, 2] = -2 * b * s
+    D[..., 3, 3] = 2 * b * (m2 * s - (m3 + params.B * params.e1) * c)
+    return D
+
+
 def poisson_matrix(x, params: SystemParams) -> np.ndarray:
+    """The bracket matrix sigma, {x_i, x_j} = sigma[i, j], at states x of
+    shape (5, ...), with shape (..., 5, 5)."""
     v1, v2, v3 = shifted_momentum(x, params)
     q = x[3]
     m = mathlib(q)
     b2 = params.B * params.e2
-    sig = np.zeros((5, 5), dtype=np.result_type(x, float))
-    pairs = {
-        (0, 1): -v3,
-        (0, 2): v2,
-        (1, 2): -v1,
-        (1, 4): b2 * m.cos(q),
-        (2, 4): b2 * m.sin(q),
-        (3, 4): 1.0,
-    }
-    for (i, j), v in pairs.items():
-        sig[i, j] = v
-        sig[j, i] = -v
+    upper = (-v3, v2, -v1, b2 * m.cos(q), b2 * m.sin(q), 1.0)
+    sig = np.zeros(np.shape(v3) + (5, 5), dtype=np.result_type(x, float))
+    for (i, j), v in zip(((0, 1), (0, 2), (1, 2), (1, 4), (2, 4), (3, 4)), upper):
+        sig[..., i, j] = v
+        sig[..., j, i] = -v
     return sig
 
 
@@ -213,9 +224,20 @@ def _casimir_projection(x, params: SystemParams, c_target: float):
     return v1 * k, v2 * k + shift2, v3 * k - shift3, q, p
 
 
-def _q_guard(x, t: float) -> None:
-    if not (Q_EDGE <= x[3] <= np.pi - Q_EDGE):
-        raise CollisionApproach(f"q={x[3]} left the guarded domain at t={t}")
+def _q_guard(V: Potential):
+    """The guard of a run under V: CollisionApproach when q leaves
+    [Q_EDGE, pi - Q_EDGE], DomainError when it leaves `V.q_range`.  A step
+    makes one test, against the intersection of the two."""
+    lo, hi = V.q_range
+    a, b = max(lo, Q_EDGE), min(hi, np.pi - Q_EDGE)
+
+    def guard(x, t: float) -> None:
+        if not a <= x[3] <= b:
+            if Q_EDGE <= x[3] <= np.pi - Q_EDGE:
+                raise DomainError(f"q={x[3]} left the potential table [{lo}, {hi}] at t={t}")
+            raise CollisionApproach(f"q={x[3]} left the guarded domain at t={t}")
+
+    return guard
 
 
 def integrate(
@@ -231,15 +253,16 @@ def integrate(
     H and C are taken on the stored trajectory and monitored, not enforced,
     unless `project_casimir` is set (useful for long runs): then every stage
     and step is mapped back onto the initial Casimir level.  Raises
-    DomainError unless t_end is a whole number of steps dt, CollisionApproach
-    if q leaves the guarded interval and NonFiniteState on numeric blow-up.
+    DomainError unless t_end is a whole number of steps dt or if q leaves
+    `V.q_range`, CollisionApproach if q leaves the guarded interval and
+    NonFiniteState on numeric blow-up.
     """
     n_steps = step_count(t_end, dt)
     x0 = initial.as_array()
     c0 = casimir_array(x0, params)
     project = (lambda x: _casimir_projection(x, params, c0)) if project_casimir else None
     # rhs is looked up at call time, so a wrapper bound in its place sees every call
-    states = rk4(lambda x: rhs(x, params, V), x0, dt, n_steps, project, _q_guard)
+    states = rk4(lambda x: rhs(x, params, V), x0, dt, n_steps, project, _q_guard(V))
     return Trajectory(
         np.arange(n_steps + 1) * dt,
         states,

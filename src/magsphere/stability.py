@@ -1,11 +1,14 @@
-"""Linear stability of relative equilibria.
+"""Linear stability of relative equilibria, from one Hessian per equilibrium.
 
-Jacobians and Hessians are obtained by complex-step differentiation of the
-analytic right-hand side and gradients (exact to machine precision for the
-built-in potential); a central-difference fallback covers tabulated
-potentials.  Both work on batches of states.  The characteristic polynomial
-at any equilibrium has the form x(-x^4 + a x^2 + b) and the classification
-is read off the pair (a, b).
+At an equilibrium grad H = lam grad C, and M = D2H - lam D2C (D2H by complex
+step, or central differences for a tabulated potential; D2C in closed form)
+gives both answers: the Jacobian of rhs = sigma grad H is J = sigma M, since
+sigma grad C = 0, and M on the Casimir level set gives the energy-Casimir
+signature.  J = sigma M holds only at equilibria of the potential passed in;
+a record's residual is checked under the potential that made it.  Where
+only classes are wanted, `stability_arrays` differentiates rhs directly.
+All of it works on batches.  The characteristic polynomial at an
+equilibrium is x(-x^4 + a x^2 + b); the class is read off (a, b).
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from .core import (
     identical_params,
 )
 from .equilibria import EquilibriumRecord, GridEquilibria, passes_residual_cut
-from .reduced import derivative_matrix, grad_casimir, grad_hamiltonian, rhs
+from .reduced import (derivative_matrix, grad_casimir, grad_hamiltonian, hessian_casimir,
+                      poisson_matrix, rhs)
 
 
 class Classification(Enum):
@@ -48,10 +52,6 @@ class LinearizationReport:
 def jacobian_matrix(x, params, V: Potential) -> np.ndarray:
     """d(rhs)/dx at states x of shape (5, ...), with shape (..., 5, 5)."""
     return derivative_matrix(lambda z: rhs(z, params, V), x, V.analytic)
-
-
-def _symmetric_part(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 _CLASSES = np.array(
@@ -113,29 +113,26 @@ def _check_residual(residual, tol: Tolerances) -> None:
         raise ResidualTooLarge(f"record residual {np.max(residual)} fails the cut {tol.record_residual}")
 
 
-def signature_arrays(x, params, V: Potential, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Signatures (n_plus, n_minus, n_zero) of the Hessian of H restricted
-    to the Casimir level set at equilibria x of shape (5, ...), with shape
-    (..., 3); (0, 0, 4) wherever that Hessian is singular (a cusp).
-
-    At a relative equilibrium grad H = lam * grad C, so the restricted
-    second variation is P (D2H - lam * D2C) P on the orthogonal complement
-    of grad C.  params.B may be an array broadcasting against x[0].
-    """
+def energy_casimir_hessian(x, params, V: Potential):
+    """M = sym(D2H) - lam D2C, lam = grad H . grad C / |grad C|^2, at
+    equilibria x of shape (5, ...), with shape (..., 5, 5), and grad C with
+    its component axis last.  params.B may be an array broadcasting
+    against x[0]."""
     x = np.asarray(x, dtype=float)
     last = (*range(1, x.ndim), 0)          # puts the component axis last
     gH = grad_hamiltonian(x, params, V).transpose(last)
     gC = grad_casimir(x, params).transpose(last)
-    cc = (gC * gC).sum(axis=-1)
-    lam = (gH * gC).sum(axis=-1) / cc
-    D2H = _symmetric_part(
-        derivative_matrix(lambda z: grad_hamiltonian(z, params, V), x, V.analytic)
-    )
-    D2C = _symmetric_part(derivative_matrix(lambda z: grad_casimir(z, params), x, True))
-    M = D2H - lam[..., None, None] * D2C
+    lam = (gH * gC).sum(axis=-1) / (gC * gC).sum(axis=-1)
+    D2H = derivative_matrix(lambda z: grad_hamiltonian(z, params, V), x, V.analytic)
+    D2H = 0.5 * (D2H + D2H.swapaxes(-1, -2))
+    return D2H - lam[..., None, None] * hessian_casimir(x, params), gC
 
+
+def _signatures(M: np.ndarray, gC: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Signatures of the Hessians M restricted to the complements of grad C,
+    shape (..., 3); (0, 0, 4) wherever the restriction is singular."""
     # orthonormal basis of the complement of grad C
-    n = gC / np.sqrt(cc)[..., None]
+    n = gC / np.sqrt((gC * gC).sum(axis=-1))[..., None]
     basis = np.linalg.svd(np.eye(5) - n[..., :, None] * n[..., None, :])[0][..., :4]
     R = basis.swapaxes(-1, -2) @ M @ basis
     w = np.linalg.eigvalsh(R)
@@ -144,6 +141,23 @@ def signature_arrays(x, params, V: Potential, tol: Tolerances = DEFAULT_TOL) -> 
     sig = np.stack([n_plus, n_minus, 4 - n_plus - n_minus], axis=-1)
     singular = np.abs(np.linalg.det(R)) < 1e-10
     return np.where(singular[..., None], (0, 0, 4), sig)
+
+
+def _jacobians_and_signatures(x, params, V: Potential, tol: Tolerances):
+    """J = sigma M and the signatures of M, from one Hessian M at equilibria
+    x of shape (5, ...) under V."""
+    M, gC = energy_casimir_hessian(x, params, V)
+    return poisson_matrix(x, params) @ M, _signatures(M, gC, tol)
+
+
+def signature_arrays(x, params, V: Potential, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Signatures (n_plus, n_minus, n_zero) of the Hessian of H restricted
+    to the Casimir level set at equilibria x of shape (5, ...), with shape
+    (..., 3); (0, 0, 4) wherever that Hessian is singular (a cusp).  That
+    is M of `energy_casimir_hessian` on the orthogonal complement of grad C.
+    params.B may be an array broadcasting against x[0].
+    """
+    return _signatures(*energy_casimir_hessian(x, params, V), tol)
 
 
 def hessian_signature(
@@ -161,21 +175,19 @@ def linearize(
     record: EquilibriumRecord,
     V: Potential,
     tol: Tolerances = DEFAULT_TOL,
-    with_hessian: bool = True,
 ) -> LinearizationReport:
-    """Full linear analysis at a residual-checked equilibrium."""
+    """Full linear analysis at a residual-checked equilibrium, from one
+    Hessian M: the Jacobian sigma M and the signature of M.  The record must
+    be an equilibrium under V (see the module docstring)."""
     _check_residual(record.residual, tol)
-    x = record.state.as_array()
-    J = jacobian_matrix(x, record.params, V)
+    J, sig = _jacobians_and_signatures(record.state.as_array(), record.params, V, tol)
     a, b = char_coefficients(J)
-    eigs = np.linalg.eigvals(J)
-    sig = hessian_signature(record, V, tol) if with_hessian else (0, 0, 0)
     return LinearizationReport(
         jacobian=J,
         char_coeffs=(a, b),
-        eigenvalues=eigs,
+        eigenvalues=np.linalg.eigvals(J),
         classification=classify(a, b, tol.classify),
-        hessian_signature=sig,
+        hessian_signature=tuple(sig.tolist()),
     )
 
 
@@ -197,37 +209,24 @@ def threshold_stability(q0: float) -> Classification:
     return Classification.LinearlyStable if s > 0 else Classification.LinearlyUnstable
 
 
-def stability_rows(
-    grid: GridEquilibria,
-    V: Potential,
-    tol: Tolerances = DEFAULT_TOL,
-) -> List[dict]:
-    """Rows of `stability_csv`, one per entry of a closed-form grid: (a, b)
-    and class from one batched Jacobian, the Hessian signature from one
-    batched Hessian.  Raises ResidualTooLarge if an entry fails the
+_COLUMNS = ("q", "B", "family", "a", "b", "class", "n_plus", "n_minus", "n_zero")
+
+
+def stability_rows(grid: GridEquilibria, V: Potential, tol: Tolerances = DEFAULT_TOL) -> List[dict]:
+    """Rows of `stability_csv`, one per entry of a closed-form grid, from
+    one batched Hessian M: (a, b) and class from the Jacobians sigma M, and
+    the signatures of M.  Raises ResidualTooLarge if an entry fails the
     residual cut."""
     _check_residual(grid.residual, tol)
-    x = grid.states()
     params = identical_params(grid.B)
-    a, b, classes = stability_arrays(x, params, V, tol)
-    sigs = signature_arrays(x, params, V, tol).tolist()
-    cols = zip(grid.q.tolist(), grid.B.tolist(), grid.family, a.tolist(), b.tolist(), classes, sigs)
-    return [
-        {
-            "q": q,
-            "B": B,
-            "family": family.value,
-            "a": ai,
-            "b": bi,
-            "class": cls.value,
-            "n_plus": sig[0],
-            "n_minus": sig[1],
-            "n_zero": sig[2],
-        }
-        for q, B, family, ai, bi, cls, sig in cols
-    ]
+    J, sigs = _jacobians_and_signatures(grid.states(), params, V, tol)
+    a, b = char_coefficients(J)
+    classes = [c.value for c in classify(a, b, tol.classify)]
+    families = [f.value for f in grid.family]
+    cols = zip(grid.q.tolist(), grid.B.tolist(), families, a.tolist(), b.tolist(), classes,
+               *sigs.T.tolist())
+    return [dict(zip(_COLUMNS, row)) for row in cols]
 
 
 def stability_csv(rows: Iterable[dict]) -> str:
-    columns = ("q", "B", "family", "a", "b", "class", "n_plus", "n_minus", "n_zero")
-    return csv_text(columns, map(itemgetter(*columns), rows))
+    return csv_text(_COLUMNS, map(itemgetter(*_COLUMNS), rows))

@@ -98,7 +98,7 @@ def test_criterion_04_threshold_spectrum():
     for q0 in qs:
         B = type2_threshold(q0)
         rec = type2(q0, B)[0]
-        rep = linearize(rec, cot_potential(rec.params), with_hessian=False)
+        rep = linearize(rec, cot_potential(rec.params))
         a, b = rep.char_coeffs
         csc3 = 1 / np.sin(q0) ** 3
         a_expect = -(2 * csc3 + 2 * (1 + 2 * np.cos(q0)) * csc3)
@@ -119,7 +119,7 @@ def test_criterion_05_type1_stability_boundary():
 
     def stable(q, B):
         rec = type1(q, B)[0]
-        rep = linearize(rec, cot_potential(rec.params), with_hessian=False)
+        rep = linearize(rec, cot_potential(rec.params))
         return rep.classification is Classification.LinearlyStable
 
     for q in np.linspace(0.35, 1.5, 20):
@@ -209,8 +209,8 @@ def test_criterion_09_symmetries():
         mV = cot_potential(mp)
         assert residual(ms.as_array(), mp, mV) < 1e-9
         mrec = make_record(Family.General, ms.m2, ms.m3, ms.q, mp, mV)
-        e0 = linearize(rec, V, with_hessian=False).eigenvalues
-        e1 = linearize(mrec, mV, with_hessian=False).eigenvalues
+        e0 = linearize(rec, V).eigenvalues
+        e1 = linearize(mrec, mV).eigenvalues
         for lam in e0:
             assert min(abs(lam - m) for m in e1) < 1e-8
 
@@ -238,7 +238,7 @@ def test_criterion_10_bifurcation_structure():
         branch = 0 if cusp in by_tag["TypeII_plus"].cusps else 1
         eps = 0.01
         cls = [
-            linearize(type2(qc + s * eps, 2.5)[branch], V, with_hessian=False).classification
+            linearize(type2(qc + s * eps, 2.5)[branch], V).classification
             for s in (-1, 1)
         ]
         assert cls[0] is not cls[1], qc

@@ -207,7 +207,7 @@ def test_double_cover_one_stable_one_unstable():
     qb = brentq(f, qa + 0.05, q1 - 1e-6)
     rb = type2(qb, B)[1]
     classes = {
-        linearize(r, V, with_hessian=False).classification for r in (ra, rb)
+        linearize(r, V).classification for r in (ra, rb)
     }
     assert classes == {Classification.LinearlyStable, Classification.LinearlyUnstable}
 

@@ -293,6 +293,24 @@ def test_q_on_the_potential_table_is_evaluated(tmp_path):
         assert main([*argv, *pot, "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+def test_an_orbit_that_leaves_the_potential_table_stops(tmp_path, capsys, command):
+    """An orbit from q = 0.78 on a table over [0.5, 0.8] passes its last
+    node within the step that ends at t = 0.034: both commands exit 2 there,
+    naming the table's range and t, and write nothing."""
+    qs = np.linspace(0.5, 0.8, 20)
+    table = tmp_path / "pot.csv"
+    np.savetxt(table, np.column_stack([qs, 1 / np.tan(qs)]), delimiter=",")
+    out = tmp_path / "out.csv"
+    argv = [command, "--mu1", "1.3", "--B", "1", "--q", "0.78", "--p", "0.3", "--m3", "0.1",
+            "--t-end", "2", "--potential", "custom-table", "--potential-file", str(table)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    where, table_range = r"(q=|geodesic distance )0\.800\d+", r"the potential table \[0.5, 0.8\]"
+    assert re.fullmatch(rf"DomainError: {where} left {table_range} at t=0\.034\n", err), err
+    assert not out.exists()
+
+
 def test_potential_table_with_a_header_is_a_config_error(tmp_path, capsys):
     qs = np.linspace(0.2, 2.9, 60)
     table = tmp_path / "pot.csv"

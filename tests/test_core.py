@@ -56,6 +56,13 @@ def test_table_potential_matches_nodes():
     assert not V.analytic
 
 
+def test_potential_q_range():
+    """cot is defined on all of [0, pi], a table on its nodes' range."""
+    assert cot_potential(identical_params(1.0)).q_range == (0.0, np.pi)
+    q = np.linspace(0.5, 0.8, 8)
+    assert table_potential(q, 2.0 - q).q_range == (0.5, 0.8)
+
+
 def test_table_potential_rejects_flat():
     qs = np.linspace(0.3, 2.8, 40)
     with pytest.raises(DomainError):

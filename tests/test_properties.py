@@ -16,7 +16,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from magsphere.core import SystemParams, cot_potential, csv_text, table_potential
 from magsphere.fullspace import _project, full_rhs, geodesic_distance, one_particle_rhs
-from magsphere.reduced import _casimir_projection, casimir_array, rhs, shifted_momentum
+from magsphere.reduced import (_casimir_projection, casimir_array, derivative_matrix, grad_casimir,
+                               hessian_casimir, rhs, shifted_momentum)
 
 from conftest import per_value_csv
 
@@ -76,6 +77,20 @@ def test_casimir_projection_one_state_equals_batch_column(params, states, c_targ
     X = _batch(states)
     assume(np.all(casimir_array(X, params) > 1e-6))
     _assert_columns(lambda x: _casimir_projection(x, params, c_target), X)
+
+
+@FIXED
+@given(systems, st.lists(reduced_states, min_size=1, max_size=8))
+def test_hessian_casimir_equals_complex_step(params, states):
+    """The closed-form D2C equals the complex-step derivative of grad C to
+    1e-14 relative to max|D2C|, and one state gives its column of a batch
+    bit for bit."""
+    X = _batch(states)
+    D = hessian_casimir(X, params)
+    step = derivative_matrix(lambda z: grad_casimir(z, params), X, True)
+    assert np.max(np.abs(D - step)) <= 1e-14 * np.max(np.abs(D))
+    for j in range(X.shape[1]):
+        assert np.array_equal(hessian_casimir(X[:, j], params), D[j]), j
 
 
 @FIXED

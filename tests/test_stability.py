@@ -7,6 +7,7 @@ from magsphere.core import (
     DEFAULT_TOL,
     OutsideDomain,
     ResidualTooLarge,
+    SystemParams,
     cot_potential,
     identical_params,
     table_potential,
@@ -15,6 +16,7 @@ from magsphere.equilibria import (
     EquilibriumRecord,
     Family,
     closed_form_grid,
+    solve_general,
     type1,
     type2,
     type2_threshold,
@@ -134,7 +136,7 @@ def test_threshold_characteristic_polynomial():
     for q0 in (1.0, 1.4, 2.0, 2.5):
         B = type2_threshold(q0)
         rec = type2(q0, B)[0]
-        rep = linearize(rec, cot_potential(rec.params), with_hessian=False)
+        rep = linearize(rec, cot_potential(rec.params))
         a, b = rep.char_coeffs
         csc3 = 1 / np.sin(q0) ** 3
         assert a == pytest.approx(-(2 * csc3 + 2 * (1 + 2 * np.cos(q0)) * csc3), abs=1e-8)
@@ -144,7 +146,7 @@ def test_threshold_characteristic_polynomial():
 def test_threshold_spectrum_at_right_angle():
     """At q0 = pi/2 both quadratic factors give eigenvalues +-i sqrt(2)."""
     rec = type2(np.pi / 2, 2.0)[0]
-    rep = linearize(rec, cot_potential(rec.params), with_hessian=False)
+    rep = linearize(rec, cot_potential(rec.params))
     nonzero = sorted(np.imag(rep.eigenvalues[np.abs(rep.eigenvalues) > 1e-8]))
     assert np.allclose(nonzero, [-np.sqrt(2), -np.sqrt(2), np.sqrt(2), np.sqrt(2)], atol=1e-7)
 
@@ -164,8 +166,8 @@ def test_type1_boundary_domain():
 def test_type1_boundary_straddle():
     q = 1.0
     Bc = type1_boundary(q)
-    lo = linearize(type1(q, Bc - 1e-3)[0], cot_potential(identical_params(Bc - 1e-3)), with_hessian=False)
-    hi = linearize(type1(q, Bc + 1e-3)[0], cot_potential(identical_params(Bc + 1e-3)), with_hessian=False)
+    lo = linearize(type1(q, Bc - 1e-3)[0], cot_potential(identical_params(Bc - 1e-3)))
+    hi = linearize(type1(q, Bc + 1e-3)[0], cot_potential(identical_params(Bc + 1e-3)))
     assert lo.classification is Classification.LinearlyUnstable
     assert hi.classification is Classification.LinearlyStable
 
@@ -181,7 +183,7 @@ def test_type1_grid_matches_boundary():
             if abs(B - Bc) <= dB:
                 continue
             rec = type1(q, B)[0]
-            rep = linearize(rec, cot_potential(rec.params), with_hessian=False)
+            rep = linearize(rec, cot_potential(rec.params))
             want = Classification.LinearlyStable if B > Bc else Classification.LinearlyUnstable
             assert rep.classification is want, (q, B, Bc)
 
@@ -302,3 +304,87 @@ def test_type2_boundaries_emanate_from_degenerate_point():
         # shrinks onto q = 2pi/3
         assert abs(q0 - 2 * np.pi / 3) < 0.4
         assert abs(q1 - 2 * np.pi / 3) < 0.4
+
+
+def _reference_linearize(x, params, V, tol=DEFAULT_TOL):
+    """The body of `linearize` before it took J = sigma M, on states x of
+    shape (5, ...): the Jacobian of rhs differentiated directly, and the
+    signature from a second Hessian with D2C by complex step.  Returns J,
+    (a, b), classes and signatures."""
+    J = jacobian_matrix(x, params, V)
+    a, b = char_coefficients(J)
+    last = (*range(1, x.ndim), 0)
+    gH = grad_hamiltonian(x, params, V).transpose(last)
+    gC = grad_casimir(x, params).transpose(last)
+    cc = (gC * gC).sum(axis=-1)
+    lam = (gH * gC).sum(axis=-1) / cc
+    sym = lambda M: 0.5 * (M + M.swapaxes(-1, -2))
+    D2H = sym(derivative_matrix(lambda z: grad_hamiltonian(z, params, V), x, V.analytic))
+    D2C = sym(derivative_matrix(lambda z: grad_casimir(z, params), x, True))
+    M = D2H - lam[..., None, None] * D2C
+    n = gC / np.sqrt(cc)[..., None]
+    basis = np.linalg.svd(np.eye(5) - n[..., :, None] * n[..., None, :])[0][..., :4]
+    R = basis.swapaxes(-1, -2) @ M @ basis
+    w = np.linalg.eigvalsh(R)
+    n_plus = (w > tol.eigenvalue).sum(axis=-1)
+    n_minus = (w < -tol.eigenvalue).sum(axis=-1)
+    sig = np.stack([n_plus, n_minus, 4 - n_plus - n_minus], axis=-1)
+    sig = np.where((np.abs(np.linalg.det(R)) < 1e-10)[..., None], (0, 0, 4), sig)
+    return J, (a, b), classify(a, b, tol.classify), sig
+
+
+def _general_cases(seed):
+    """(record, V) for the items of the benchmark's `general` workload at a
+    seed: criterion-12 draws, alternately under V = cot and under a 400-node
+    table of cot q + q/2, each record polished by solve_general under its V."""
+    rng = np.random.default_rng(seed)
+    nodes = np.linspace(0.1, np.pi - 0.1, 400)
+    table = table_potential(nodes, 1 / np.tan(nodes) + 0.5 * nodes)
+    cases = []
+    while len(cases) < 200:
+        q = rng.uniform(0.25, np.pi - 0.25)
+        if abs(q - np.pi / 2) < 0.05:
+            continue
+        params = SystemParams(rng.uniform(0.5, 3), rng.uniform(0.5, 3),
+                              rng.choice([-1, 1]) * rng.uniform(0.5, 2),
+                              rng.choice([-1, 1]) * rng.uniform(0.5, 2), rng.uniform(0.1, 5))
+        cases.append((q, params, table if len(cases) % 2 else cot_potential(params)))
+    return [(r, V) for q, params, V in cases for r in solve_general(q, params, V)]
+
+
+def _assert_as_reference(rep, J, ab, cls, sig, j_bound, ab_bound):
+    """One report against the reference: the same class and signature, the
+    Jacobian within j_bound and (a, b) within ab_bound, relative to max|J|
+    and max(|a|, |b|)."""
+    assert rep.classification is cls
+    assert rep.hessian_signature == tuple(sig)
+    assert np.max(np.abs(rep.jacobian - J)) <= j_bound * np.max(np.abs(J))
+    scale = max(abs(ab[0]), abs(ab[1]))
+    assert max(abs(rep.char_coeffs[0] - ab[0]), abs(rep.char_coeffs[1] - ab[1])) <= ab_bound * scale
+
+
+def test_linearize_equals_the_direct_jacobian_on_the_acceptance_grid():
+    """J = sigma M against the direct Jacobian at every entry of the 50 x 50
+    acceptance grid (V = cot).  Measured worst: |J - sigma M| 4.9e-15 max|J|,
+    (a, b) 1.1e-11 max(|a|, |b|)."""
+    grid = closed_form_grid(np.linspace(0.2, np.pi - 0.2, 50), np.linspace(0.1, 5.0, 50)).cut()
+    params = identical_params(grid.B)
+    J, (a, b), classes, sigs = _reference_linearize(grid.states(), params, cot_potential(params))
+    recs = grid.records()
+    assert len(recs) > 5000
+    for k, rec in enumerate(recs):
+        rep = linearize(rec, cot_potential(rec.params))
+        _assert_as_reference(rep, J[k], (a[k], b[k]), classes[k], sigs[k], 1e-12, 1e-10)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_linearize_equals_the_direct_jacobian_on_general_records(seed):
+    """The same on the general records of seeds 1 and 7.  Measured worst
+    over both seeds: cot |J - sigma M| 8.9e-14 max|J| and (a, b) 5.5e-13;
+    table 1.1e-9 and 4.9e-8 (central differences)."""
+    cases = _general_cases(seed)
+    assert {V.analytic for _, V in cases} == {True, False} and len(cases) > 400
+    for rec, V in cases:
+        ref = _reference_linearize(rec.state.as_array(), rec.params, V)
+        bounds = (1e-12, 1e-10) if V.analytic else (1e-7, 1e-6)
+        _assert_as_reference(linearize(rec, V), *ref, *bounds)

@@ -88,8 +88,8 @@ def test_opposite_charge_preserves_spectrum(params, V):
     ms, mp = opposite_charge(rec.state, params)
     mV = cot_potential(mp)
     mrec = make_record(Family.General, ms.m2, ms.m3, ms.q, mp, mV)
-    e0 = linearize(rec, V, with_hessian=False).eigenvalues
-    e1 = linearize(mrec, mV, with_hessian=False).eigenvalues
+    e0 = linearize(rec, V).eigenvalues
+    e1 = linearize(mrec, mV).eigenvalues
     for lam in e0:
         assert min(abs(lam - m) for m in e1) < 1e-8
 
