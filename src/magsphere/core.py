@@ -358,7 +358,7 @@ def kinetic_gradient(x, params: SystemParams):
     m1, m2, m3, q, p = x
     s = np.sin(q)
     cot = np.cos(q) / s
-    csc2 = 1.0 / s**2
+    csc2 = 1.0 / (s * s)
     w1 = (m1 - p) / mu1
     w2 = (m2 - m3 * cot) / mu1
     w3 = cot * (m3 * cot - m2) / mu1 + m3 * csc2 / mu2

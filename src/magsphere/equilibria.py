@@ -11,6 +11,7 @@ polish, and the right-angle configuration q = pi/2 is handled by its own
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import List, NamedTuple, Union
@@ -26,10 +27,11 @@ from .core import (
     ReducedState,
     SystemParams,
     Tolerances,
+    check_q,
     cot_potential,
     identical_params,
 )
-from .reduced import casimir_array, derivative_matrix, hamiltonian_array, rhs
+from .reduced import casimir_array, hamiltonian_array, rhs
 
 RIGHT_ANGLE_BAND = 1e-6
 TYPE1_BAND = 1e-4        # grid sweeps skip the side-by-side family this close to pi/2
@@ -108,7 +110,8 @@ def make_record(
     V: Potential,
     degenerate: bool = False,
 ) -> EquilibriumRecord:
-    x = ReducedState(0.0, float(m2), float(m3), float(q), 0.0).as_array()
+    check_q(q)                  # a DomainError, before V and rhs see q
+    x = (0.0, float(m2), float(m3), float(q), 0.0)
     return _record(family, m2, m3, q, params, *equilibrium_values(x, params, V), degenerate)
 
 
@@ -359,31 +362,48 @@ def m2_from_m3(m3: float, sign, q: float, params: SystemParams):
 
 def _branch(m3: float, q: float, params: SystemParams, V: Potential) -> float:
     """The m2 of the m2_from_m3 sign branch that the quartic root m3
-    satisfies: the one with the smaller (m1', p') residual."""
-    m2 = m2_from_m3(m3, np.array([1.0, -1.0]), q, params)
-    x = np.stack([np.zeros(2), m2, np.full(2, m3), np.full(2, q), np.zeros(2)])
-    f = rhs(x, params, V)
-    return float(m2[np.argmin(np.maximum(np.abs(f[0]), np.abs(f[4])))])
+    satisfies: the one with the smaller (m1', p') residual, + on a tie."""
+    plus, minus = m2_from_m3(m3, np.array([1.0, -1.0]), q, params).tolist()
+
+    def miss(m2):
+        f = rhs((0.0, m2, m3, q, 0.0), params, V)
+        return max(abs(f[0]), abs(f[4]))
+
+    return minus if miss(minus) < miss(plus) else plus
+
+
+def _block(m2, m3, q, params, V):
+    """The (m1', p') x (m2, m3) block of the Jacobian of rhs at the state
+    (0, m2, m3, q, 0) of floats, as its two columns: complex step in m2 and
+    in m3 (q stays real) when V is analytic, else central differences."""
+    f = lambda m2, m3: rhs((0.0, m2, m3, q, 0.0), params, V)
+    if V.analytic:
+        cols = [f(m2 + 1e-200j, m3), f(m2, m3 + 1e-200j)]
+        return [(g[0].imag / 1e-200, g[4].imag / 1e-200) for g in cols]
+    cols = [(f(m2 + 1e-6, m3), f(m2 - 1e-6, m3)), (f(m2, m3 + 1e-6), f(m2, m3 - 1e-6))]
+    return [((u[0] - v[0]) / 2e-6, (u[4] - v[4]) / 2e-6) for u, v in cols]
 
 
 def _polish(m2, m3, q, params, V, iters=30, tol=1e-13):
-    """Newton in (m2, m3) on the two nontrivial equilibrium conditions
-    (m1', p') = 0, with the (m1', p') x (m2, m3) block of the Jacobian of
-    rhs as its derivative.  None unless it ends within 1e-10 of zero."""
-    f = lambda z: rhs(z, params, V)
-    x = np.array([0.0, m2, m3, q, 0.0])
+    """Newton in (m2, m3), carried as floats, on the two nontrivial
+    equilibrium conditions (m1', p') = 0, with `_block` as its derivative
+    and the 2x2 step in closed form.  None if that block is singular or not
+    finite, or unless it ends within 1e-10 of zero."""
+    m2, m3, q = float(m2), float(m3), float(q)
     for i in range(iters + 1):
-        F = np.array(f(x))[[0, 4]]
-        if np.max(np.abs(F)) < tol or i == iters:
+        f = rhs((0.0, m2, m3, q, 0.0), params, V)
+        F1, F2 = f[0], f[4]
+        if (abs(F1) < tol and abs(F2) < tol) or i == iters:
             break
-        J = derivative_matrix(f, x, V.analytic, (1, 2))[[0, 4]]
-        try:
-            x[1:3] -= np.linalg.solve(J, F)
-        except np.linalg.LinAlgError:
+        (a, c), (b, d) = _block(m2, m3, q, params, V)
+        det = a * d - b * c
+        if det == 0 or not math.isfinite(det):
             return None
-        if not np.all(np.isfinite(x[1:3])):
+        # float(): numpy scalars in params would make the state numpy scalars
+        m2, m3 = float(m2 - (d * F1 - b * F2) / det), float(m3 - (a * F2 - c * F1) / det)
+        if not (math.isfinite(m2) and math.isfinite(m3)):
             return None
-    return x[1:3] if np.max(np.abs(F)) <= 1e-10 else None
+    return (m2, m3) if abs(F1) <= 1e-10 and abs(F2) <= 1e-10 else None
 
 
 def solve_general(

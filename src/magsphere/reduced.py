@@ -162,26 +162,26 @@ def residual(x, params: SystemParams, V: Potential) -> float:
     return float(np.max(np.abs(rhs(np.asarray(x, dtype=float), params, V))))
 
 
-def derivative_matrix(f, x, analytic: bool, columns=range(5)) -> np.ndarray:
-    """df/dx_j for j in `columns` at states x of shape (5, ...), with shape
-    (..., 5, len(columns)); f maps x to five components (array or tuple).
+def derivative_matrix(f, x, analytic: bool) -> np.ndarray:
+    """df/dx at states x of shape (5, ...), with shape (..., 5, 5); f maps
+    x to five components (array or tuple).
 
     Complex step (one call of f per column) when f accepts complex input,
     otherwise central differences (two calls per column).
     """
     x = np.asarray(x, dtype=float)
     last = (*range(1, x.ndim), 0)          # puts the component axis of f(x) last
-    D = np.empty(x.shape[1:] + (5, len(columns)))
+    D = np.empty(x.shape[1:] + (5, 5))
     f_array = lambda z: np.asarray(f(z)).transpose(last)
-    for i, j in enumerate(columns):
+    for j in range(5):
         if analytic:
             z = x.astype(complex)
             z[j] += 1e-200j
-            D[..., i] = f_array(z).imag / 1e-200
+            D[..., j] = f_array(z).imag / 1e-200
         else:
             e = np.zeros_like(x)
             e[j] = 1e-6
-            D[..., i] = (f_array(x + e) - f_array(x - e)) / 2e-6
+            D[..., j] = (f_array(x + e) - f_array(x - e)) / 2e-6
     return D
 
 

@@ -33,7 +33,7 @@ from magsphere.equilibria import (
     type2_arrays,
     type2_threshold,
 )
-from magsphere.reduced import residual, rhs
+from magsphere.reduced import derivative_matrix, residual, rhs
 from magsphere.stability import hessian_signature, linearize, stability_rows
 
 
@@ -318,6 +318,106 @@ def test_solve_general_polishes_one_branch_per_root(case):
         roots = np.roots(quartic_coefficients(q, params, V))
         seeds = [int(np.argmin(np.abs(roots - g.state.m3))) for g in got]
         assert seeds == sorted(set(seeds)), (q, params, seeds)
+
+
+# The general solver's per-root steps as they ran on numpy arrays before
+# they ran on Python floats: the reference for their records, bit for bit.
+
+def _array_branch(m3, q, params, V):
+    m2 = m2_from_m3(m3, np.array([1.0, -1.0]), q, params)
+    x = np.stack([np.zeros(2), m2, np.full(2, m3), np.full(2, q), np.zeros(2)])
+    f = rhs(x, params, V)
+    return float(m2[np.argmin(np.maximum(np.abs(f[0]), np.abs(f[4])))])
+
+
+def _array_polish(m2, m3, q, params, V, iters=30, tol=1e-13):
+    f = lambda z: rhs(z, params, V)
+    x = np.array([0.0, m2, m3, q, 0.0])
+    for i in range(iters + 1):
+        F = np.array(f(x))[[0, 4]]
+        if np.max(np.abs(F)) < tol or i == iters:
+            break
+        J = derivative_matrix(f, x, V.analytic)[[0, 4]][:, [1, 2]]
+        try:
+            x[1:3] -= np.linalg.solve(J, F)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(x[1:3])):
+            return None
+    return x[1:3] if np.max(np.abs(F)) <= 1e-10 else None
+
+
+def _array_make_record(family, m2, m3, q, params, V, degenerate=False):
+    x = np.array([0.0, m2, m3, q, 0.0], dtype=float)
+    values = equilibria.equilibrium_values(x, params, V)
+    return equilibria._record(family, m2, m3, q, params, *values, degenerate)
+
+
+def _solutions(params, V, q):
+    """(family, m2, m3, H, C, residual) of solve_general at q and of
+    solve_right_angle, in order."""
+    right = solve_right_angle(params, V)
+    records = solve_general(q, params, V) + (right if isinstance(right, list) else [])
+    return [(r.family, r.state.m2, r.state.m3, r.H, r.C, r.residual) for r in records]
+
+
+@pytest.mark.parametrize("case", ["criterion12_cot", "criterion12_table", "criterion02"])
+def test_float_solver_equals_the_array_reference(monkeypatch, case):
+    """The records of solve_general and solve_right_angle, whose branch
+    choice, Newton polish and record run on Python floats, equal bit for
+    bit those of the same steps on numpy arrays."""
+    systems = _criterion_02_systems() if case == "criterion02" else _criterion_12_systems()
+    table = _table_cot_plus_linear() if case == "criterion12_table" else None
+    pairs = [(p, table or cot_potential(p), q) for q, p in systems]
+    got = [_solutions(*pair) for pair in pairs]
+    monkeypatch.setattr(equilibria, "_branch", _array_branch)
+    monkeypatch.setattr(equilibria, "_polish", _array_polish)
+    monkeypatch.setattr(equilibria, "make_record", _array_make_record)
+    want = [_solutions(*pair) for pair in pairs]
+    assert got == want
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["cot", "table"])
+def test_general_solver_hands_rhs_python_floats(monkeypatch, table):
+    """Every state that _branch, _polish and make_record pass to rhs is a
+    tuple of five Python floats, one of them (m2 or m3) complex in a
+    complex step; each Newton step makes one residual call and two
+    complex-step calls (cot) or four central-difference calls (table)."""
+    q, params = _criterion_12_systems()[3]
+    V = _table_cot_plus_linear() if table else cot_potential(params)
+    states, block_calls = [], []
+    rhs0, block0 = equilibria.rhs, equilibria._block
+
+    def recorder(x, params, V):
+        states.append(x)
+        return rhs0(x, params, V)
+
+    def block(*args):
+        start = len(states)
+        out = block0(*args)
+        block_calls.append(len(states) - start)
+        return out
+
+    monkeypatch.setattr(equilibria, "rhs", recorder)
+    monkeypatch.setattr(equilibria, "_block", block)
+    solutions = _solutions(params, V, q)
+    for x in states:
+        kinds = [type(v) for v in x]
+        assert type(x) is tuple and kinds[0] is kinds[3] is kinds[4] is float, kinds
+        assert kinds[1:3] in ([float, float], [complex, float], [float, complex]), kinds
+        assert not table or complex not in kinds
+    assert block_calls and set(block_calls) == {4 if table else 2}
+
+    _, m2, m3, *_ = solutions[0]
+    for step, args, calls in ((equilibria._branch, (m3,), 2),
+                              (equilibria.make_record, (Family.General, m2, m3), 1)):
+        del states[:]
+        step(*args, q, params, V)
+        assert len(states) == calls
+    del states[:], block_calls[:]
+    assert equilibria._polish(m2 * (1 + 1e-6), m3, q, params, V) is not None
+    assert len(block_calls) >= 2
+    assert len(states) == (1 + block_calls[0]) * len(block_calls) + 1
 
 
 

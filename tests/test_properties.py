@@ -14,10 +14,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from magsphere.core import SystemParams, cot_potential, csv_text, table_potential
+from magsphere.core import SystemParams, cot_potential, csv_text, kinetic_gradient, table_potential
+from magsphere.equilibria import equilibrium_values
 from magsphere.fullspace import _project, full_rhs, geodesic_distance, one_particle_rhs
 from magsphere.reduced import (_casimir_projection, casimir_array, derivative_matrix, grad_casimir,
-                               hessian_casimir, rhs, shifted_momentum)
+                               grad_hamiltonian, hamiltonian_array, hessian_casimir, rhs,
+                               shifted_momentum)
 
 from conftest import per_value_csv
 
@@ -93,6 +95,28 @@ def test_hessian_casimir_equals_complex_step(params, states):
         assert np.array_equal(hessian_casimir(X[:, j], params), D[j]), j
 
 
+TABLE_Q = np.linspace(0.2, np.pi - 0.2, 64)
+TABLE = table_potential(TABLE_Q, 1.0 / np.tan(TABLE_Q) + 0.5 * TABLE_Q)
+
+
+@FIXED
+@given(systems, st.lists(reduced_states, min_size=1, max_size=8), st.booleans())
+# sin(0.10957) squared by pow() and by a product differ in the last bit
+@example(SystemParams(1.0, 1.0, 1.0, 1.0, 1.0), [(0.5, 0.5, 0.5, 0.10957, 0.5)], False)
+def test_energy_kernels_one_state_equal_batch_column(params, states, table):
+    """H, its gradient (the Legendre map included), grad C and the
+    (H, C, residual) of a record, for cot and a table: one state as floats,
+    as `make_record` passes it, equals its column of a batch, as the
+    closed-form grids pass them."""
+    V = TABLE if table else cot_potential(params)
+    X = _batch(states)
+    _assert_columns(lambda x: hamiltonian_array(x, params, V), X)
+    _assert_columns(lambda x: kinetic_gradient(x, params), X)
+    _assert_columns(lambda x: tuple(grad_hamiltonian(x, params, V)), X)
+    _assert_columns(lambda x: tuple(grad_casimir(x, params)), X)
+    _assert_columns(lambda x: equilibrium_values(x, params, V), X)
+
+
 @FIXED
 @given(systems, st.lists(full_states, min_size=1, max_size=8))
 def test_full_rhs_one_state_equals_batch_column(params, states):
@@ -119,8 +143,6 @@ def test_one_particle_rhs_one_state_equals_batch_column(mu, e, B, states):
     _assert_columns(lambda y: one_particle_rhs(y, mu, e, B), _batch(states))
 
 
-TABLE_Q = np.linspace(0.2, np.pi - 0.2, 64)
-TABLE = table_potential(TABLE_Q, 1.0 / np.tan(TABLE_Q) + 0.5 * TABLE_Q)
 
 
 @FIXED
