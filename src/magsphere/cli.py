@@ -226,7 +226,7 @@ def cmd_equilibria(config: RunConfig) -> int:
         for B in Bs:
             p = dataclasses.replace(params, B=float(B))
             for q in qs:
-                if abs(q - np.pi / 2) > TYPE1_BAND:      # solve_general refuses pi/2
+                if not abs(q - np.pi / 2) <= TYPE1_BAND:  # skips pi/2; NaN raises below
                     records += solve_general(float(q), p, V, tol)
     _write(config.out, json.dumps([r.to_dict() for r in records], indent=1))
     return 0

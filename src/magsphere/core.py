@@ -205,14 +205,15 @@ class BodyFrameVelocity:
 class Potential:
     """Inter-particle potential as a function of geodesic distance.
 
-    `value` and `derivative` must be supplied together.  `analytic` marks
-    callables that accept complex arguments, which enables complex-step
-    differentiation.  `q_range` is where V is defined: all of [0, pi], or
+    `value`, `derivative` and `second` (V, V' and V'') must be supplied
+    together.  `analytic` marks the closed-form `cot`; nothing in the
+    library reads it.  `q_range` is where V is defined: all of [0, pi], or
     the nodes [q_0, q_n] of a table.
     """
 
     value: Callable[[float], float]
     derivative: Callable[[float], float]
+    second: Callable[[float], float]
     name: str = "custom"
     analytic: bool = False
     q_range: tuple[float, float] = (0.0, math.pi)
@@ -230,7 +231,12 @@ def cot_potential(params: SystemParams) -> Potential:
         s = mathlib(q).sin(q)
         return -k / (s * s)
 
-    return Potential(value, derivative, name="cot", analytic=True)
+    def second(q):
+        m = mathlib(q)
+        s = m.sin(q)
+        return 2 * k * m.cos(q) / (s * s * s)
+
+    return Potential(value, derivative, second, name="cot", analytic=True)
 
 
 def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -266,13 +272,13 @@ def _end_slope(h0, h1, m0, m1) -> float:
 
 
 def pchip(x, y):
-    """Value and derivative of the monotone cubic through (x, y), each
-    taking a float (returns a float) or an array.  Both continue the end
-    cubics outside [x[0], x[-1]], as `PchipInterpolator` does by default.
+    """V, V' and V'' of the monotone cubic through (x, y), each taking a
+    float (returns a float) or an array.  All three continue the end cubics
+    outside [x[0], x[-1]], as `PchipInterpolator` does by default.
 
     Each interval holds the power-basis coefficients of `CubicHermiteSpline`,
     and the powers of q - x[i] are summed in the order of `PPoly`, so that
-    the values can match `PchipInterpolator` and its `derivative()` to the
+    the values can match `PchipInterpolator` and its derivatives to the
     last bit.
     """
     x = np.asarray(x, dtype=float)
@@ -305,7 +311,11 @@ def pchip(x, y):
         s, (a2, a1, a0) = piece(q, slope, slope_rows)
         return a0 + a1 * s + a2 * (s * s)
 
-    return value, derivative
+    def second(q):                  # 2 * 3 a3 is 6 a3 exactly, as PPoly scales it
+        s, (a2, a1, _) = piece(q, slope, slope_rows)
+        return a1 + 2.0 * a2 * s
+
+    return value, derivative, second
 
 
 def table_potential(q_nodes, v_nodes) -> Potential:
@@ -323,13 +333,13 @@ def table_potential(q_nodes, v_nodes) -> Potential:
         raise DomainError("potential table must hold finite numbers")
     if np.any(np.diff(q_nodes) <= 0):
         raise DomainError("potential table q-column must be strictly increasing")
-    value, derivative = pchip(q_nodes, v_nodes)
+    value, derivative, second = pchip(q_nodes, v_nodes)
     probe = np.linspace(q_nodes[0], q_nodes[-1], 512)
     dprobe = derivative(probe)
     if np.min(np.abs(dprobe)) < 1e-12 or np.min(dprobe) * np.max(dprobe) <= 0:
         raise DomainError("potential table has vanishing derivative; V'(q) != 0 required")
     q_range = (float(q_nodes[0]), float(q_nodes[-1]))
-    return Potential(value, derivative, name="custom-table", analytic=False, q_range=q_range)
+    return Potential(value, derivative, second, name="custom-table", q_range=q_range)
 
 
 def csv_text(columns: Sequence[str], rows: Iterable[Sequence],
@@ -350,10 +360,10 @@ def csv_text(columns: Sequence[str], rows: Iterable[Sequence],
 
 
 def kinetic_gradient(x, params: SystemParams):
-    """Gradient of the kinetic energy at x = (m1, m2, m3, q, p), as floats,
-    arrays or complex values.  Its (m1, m2, m3, p)-components are the body
-    velocities (w1, w2, w3, qdot), the Legendre map; `reduced.grad_hamiltonian`
-    adds V'(q) to the q-component."""
+    """Gradient of the kinetic energy at x = (m1, m2, m3, q, p), as floats or
+    arrays.  Its (m1, m2, m3, p)-components are the body velocities (w1, w2,
+    w3, qdot), the Legendre map; `reduced.grad_hamiltonian` adds V'(q) to the
+    q-component, and `reduced.hessian_hamiltonian` is its derivative."""
     mu1, mu2 = params.mu1, params.mu2
     m1, m2, m3, q, p = x
     s = np.sin(q)

@@ -372,16 +372,19 @@ def _branch(m3: float, q: float, params: SystemParams, V: Potential) -> float:
     return minus if miss(minus) < miss(plus) else plus
 
 
-def _block(m2, m3, q, params, V):
-    """The (m1', p') x (m2, m3) block of the Jacobian of rhs at the state
-    (0, m2, m3, q, 0) of floats, as its two columns: complex step in m2 and
-    in m3 (q stays real) when V is analytic, else central differences."""
-    f = lambda m2, m3: rhs((0.0, m2, m3, q, 0.0), params, V)
-    if V.analytic:
-        cols = [f(m2 + 1e-200j, m3), f(m2, m3 + 1e-200j)]
-        return [(g[0].imag / 1e-200, g[4].imag / 1e-200) for g in cols]
-    cols = [(f(m2 + 1e-6, m3), f(m2 - 1e-6, m3)), (f(m2, m3 + 1e-6), f(m2, m3 - 1e-6))]
-    return [((u[0] - v[0]) / 2e-6, (u[4] - v[4]) / 2e-6) for u, v in cols]
+def _block(m2, m3, q, params):
+    """The (m1', p') x (m2, m3) block (a, b, c, d) = (dm1'/dm2, dm1'/dm3,
+    dp'/dm2, dp'/dm3) of the Jacobian of rhs at the state (0, m2, m3, q, 0)
+    of floats, in closed form: neither row depends on m1 or p."""
+    mu1, mu2, B, e1, e2 = params.mu1, params.mu2, params.B, params.e1, params.e2
+    s = math.sin(q)
+    cot, csc2 = math.cos(q) / s, 1.0 / (s * s)
+    inv = 1.0 / (mu1 * mu2)
+    u, w = m2 - m3 * cot, B * e1 + m2 * cot + m3
+    return (-inv * (mu2 * (w + u * cot) - mu1 * m3 * csc2),
+            -inv * (mu2 * (u - w * cot) + B * e2 * mu1 / s - mu1 * m2 * csc2),
+            -inv * mu2 * m3 * csc2,
+            -inv * (B * e2 * mu1 / s + csc2 * (mu2 * m2 - 2 * (mu1 + mu2) * m3 * cot)))
 
 
 def _polish(m2, m3, q, params, V, iters=30, tol=1e-13):
@@ -395,7 +398,7 @@ def _polish(m2, m3, q, params, V, iters=30, tol=1e-13):
         F1, F2 = f[0], f[4]
         if (abs(F1) < tol and abs(F2) < tol) or i == iters:
             break
-        (a, c), (b, d) = _block(m2, m3, q, params, V)
+        a, b, c, d = _block(m2, m3, q, params)
         det = a * d - b * c
         if det == 0 or not math.isfinite(det):
             return None
@@ -420,6 +423,7 @@ def solve_general(
     for V'(q) != 0 (an existence theorem backs this; violation raises
     NoAdmissibleRoot).
     """
+    check_q(q)                  # a DomainError (NaN too) before anything is computed
     if abs(q - np.pi / 2) < RIGHT_ANGLE_BAND:
         raise NearRightAngle("m2 is indeterminate at q = pi/2; use solve_right_angle")
     if V.derivative(q) == 0:

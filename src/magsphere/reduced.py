@@ -1,9 +1,9 @@
 """The reduced Poisson system on (m1, m2, m3, q, p).
 
-Hamiltonian, Casimir and its closed-form Hessian, bracket matrix, equations
-of motion, the one derivative-matrix helper (complex step or central
-differences) and a fixed-step integrator with invariant monitoring.  The
-bracket table is normative; a test pins the identity rhs = sigma . grad(H).
+Hamiltonian and Casimir with their gradients and closed-form Hessians,
+bracket matrix, equations of motion and a fixed-step integrator with
+invariant monitoring.  The bracket table is normative; a test pins the
+identity rhs = sigma . grad(H).
 """
 
 from __future__ import annotations
@@ -51,6 +51,27 @@ def grad_hamiltonian(x, params: SystemParams, V: Potential):
     """Analytic gradient of H; the (m, p)-components are the body velocities."""
     dm1, dm2, dm3, dq, dp = kinetic_gradient(x, params)
     return np.array([dm1, dm2, dm3, dq + V.derivative(x[3]), dp])
+
+
+def hessian_hamiltonian(x, params: SystemParams, V: Potential) -> np.ndarray:
+    """D2H = D2T + V''(q) e_q e_q^T in closed form at states x of shape
+    (5, ...), with shape (..., 5, 5); T is quadratic in the momenta."""
+    mu1, mu2 = params.mu1, params.mu2
+    m1, m2, m3, q, p = x
+    s, c = np.sin(q), np.cos(q)
+    s2, k, mu = s * s, mu1 * mu2, mu1 + mu2
+    upper = {
+        (0, 0): 1 / mu1, (1, 1): 1 / mu1, (0, 4): -1 / mu1, (4, 4): mu / k,
+        (1, 2): -c / (mu1 * s), (1, 3): m3 / (mu1 * s2),
+        (2, 2): (mu1 + mu2 * c * c) / (k * s2),
+        (2, 3): (mu2 * m2 * s - 2 * mu * m3 * c) / (k * s2 * s),
+        (3, 3): m3 * (mu * m3 * (1 + 2 * c * c) - 2 * mu2 * m2 * s * c) / (k * s2 * s2)
+        + V.second(q),
+    }
+    D = np.zeros(np.shape(q) + (5, 5))
+    for (i, j), v in upper.items():
+        D[..., i, j] = D[..., j, i] = v
+    return D
 
 
 def _momentum_shift(q, params: SystemParams):
@@ -160,29 +181,6 @@ def rhs(x, params: SystemParams, V: Potential):
 def residual(x, params: SystemParams, V: Potential) -> float:
     """Max-norm of the reduced vector field; zero at relative equilibria."""
     return float(np.max(np.abs(rhs(np.asarray(x, dtype=float), params, V))))
-
-
-def derivative_matrix(f, x, analytic: bool) -> np.ndarray:
-    """df/dx at states x of shape (5, ...), with shape (..., 5, 5); f maps
-    x to five components (array or tuple).
-
-    Complex step (one call of f per column) when f accepts complex input,
-    otherwise central differences (two calls per column).
-    """
-    x = np.asarray(x, dtype=float)
-    last = (*range(1, x.ndim), 0)          # puts the component axis of f(x) last
-    D = np.empty(x.shape[1:] + (5, 5))
-    f_array = lambda z: np.asarray(f(z)).transpose(last)
-    for j in range(5):
-        if analytic:
-            z = x.astype(complex)
-            z[j] += 1e-200j
-            D[..., j] = f_array(z).imag / 1e-200
-        else:
-            e = np.zeros_like(x)
-            e[j] = 1e-6
-            D[..., j] = (f_array(x + e) - f_array(x - e)) / 2e-6
-    return D
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
 """Linear stability of relative equilibria, from one Hessian per equilibrium.
 
-At an equilibrium grad H = lam grad C, and M = D2H - lam D2C (D2H by complex
-step, or central differences for a tabulated potential; D2C in closed form)
+At an equilibrium grad H = lam grad C, and M = D2H - lam D2C, both Hessians
+in closed form (`reduced.hessian_hamiltonian`, `reduced.hessian_casimir`),
 gives both answers: the Jacobian of rhs = sigma grad H is J = sigma M, since
 sigma grad C = 0, and M on the Casimir level set gives the energy-Casimir
 signature.  J = sigma M holds only at equilibria of the potential passed in;
-a record's residual is checked under the potential that made it.  Where
-only classes are wanted, `stability_arrays` differentiates rhs directly.
-All of it works on batches.  The characteristic polynomial at an
-equilibrium is x(-x^4 + a x^2 + b); the class is read off (a, b).
+a record's residual is checked under the potential that made it.  Nothing
+here differentiates numerically, and all of it works on batches.  The
+characteristic polynomial at an equilibrium is x(-x^4 + a x^2 + b); the
+class is read off (a, b).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .core import (
     identical_params,
 )
 from .equilibria import EquilibriumRecord, GridEquilibria, passes_residual_cut
-from .reduced import (derivative_matrix, grad_casimir, grad_hamiltonian, hessian_casimir,
-                      poisson_matrix, rhs)
+from .reduced import (grad_casimir, grad_hamiltonian, hessian_casimir, hessian_hamiltonian,
+                      poisson_matrix, rhs)  # rhs: perfbench's tracer test reads stability.rhs
 
 
 class Classification(Enum):
@@ -44,14 +44,12 @@ class Classification(Enum):
 class LinearizationReport:
     jacobian: np.ndarray
     char_coeffs: tuple[float, float]       # (a, b) of x(-x^4 + a x^2 + b)
-    eigenvalues: np.ndarray
     classification: Classification
     hessian_signature: tuple[int, int, int]
 
-
-def jacobian_matrix(x, params, V: Potential) -> np.ndarray:
-    """d(rhs)/dx at states x of shape (5, ...), with shape (..., 5, 5)."""
-    return derivative_matrix(lambda z: rhs(z, params, V), x, V.analytic)
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvals(self.jacobian)
 
 
 _CLASSES = np.array(
@@ -101,9 +99,10 @@ def char_coefficients(J: np.ndarray):
 
 
 def stability_arrays(x, params, V: Potential, tol: Tolerances = DEFAULT_TOL):
-    """(a, b) and classes at equilibria x of shape (5, ...), from one batched
-    Jacobian.  params.B may be an array broadcasting against x[0]."""
-    a, b = char_coefficients(jacobian_matrix(x, params, V))
+    """(a, b) and classes at equilibria x of shape (5, ...), from the batched
+    Jacobians sigma M.  params.B may be an array broadcasting against x[0]."""
+    M, _ = energy_casimir_hessian(x, params, V)
+    a, b = char_coefficients(poisson_matrix(x, params) @ M)
     return a, b, classify(a, b, tol.classify)
 
 
@@ -114,7 +113,7 @@ def _check_residual(residual, tol: Tolerances) -> None:
 
 
 def energy_casimir_hessian(x, params, V: Potential):
-    """M = sym(D2H) - lam D2C, lam = grad H . grad C / |grad C|^2, at
+    """M = D2H - lam D2C, lam = grad H . grad C / |grad C|^2, at
     equilibria x of shape (5, ...), with shape (..., 5, 5), and grad C with
     its component axis last.  params.B may be an array broadcasting
     against x[0]."""
@@ -123,9 +122,7 @@ def energy_casimir_hessian(x, params, V: Potential):
     gH = grad_hamiltonian(x, params, V).transpose(last)
     gC = grad_casimir(x, params).transpose(last)
     lam = (gH * gC).sum(axis=-1) / (gC * gC).sum(axis=-1)
-    D2H = derivative_matrix(lambda z: grad_hamiltonian(z, params, V), x, V.analytic)
-    D2H = 0.5 * (D2H + D2H.swapaxes(-1, -2))
-    return D2H - lam[..., None, None] * hessian_casimir(x, params), gC
+    return hessian_hamiltonian(x, params, V) - lam[..., None, None] * hessian_casimir(x, params), gC
 
 
 def _signatures(M: np.ndarray, gC: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -144,8 +141,7 @@ def _signatures(M: np.ndarray, gC: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def _jacobians_and_signatures(x, params, V: Potential, tol: Tolerances):
-    """J = sigma M and the signatures of M, from one Hessian M at equilibria
-    x of shape (5, ...) under V."""
+    """J = sigma M and the signatures of M from one Hessian M, at equilibria x under V."""
     M, gC = energy_casimir_hessian(x, params, V)
     return poisson_matrix(x, params) @ M, _signatures(M, gC, tol)
 
@@ -165,10 +161,8 @@ def hessian_signature(
     V: Potential,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[int, int, int]:
-    """`signature_arrays` at one residual-checked equilibrium."""
-    _check_residual(record.residual, tol)
-    x = record.state.as_array()
-    return tuple(signature_arrays(x, record.params, V, tol).tolist())
+    """The signature of `linearize` at one residual-checked equilibrium."""
+    return linearize(record, V, tol).hessian_signature
 
 
 def linearize(
@@ -185,7 +179,6 @@ def linearize(
     return LinearizationReport(
         jacobian=J,
         char_coeffs=(a, b),
-        eigenvalues=np.linalg.eigvals(J),
         classification=classify(a, b, tol.classify),
         hessian_signature=tuple(sig.tolist()),
     )

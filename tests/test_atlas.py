@@ -7,7 +7,9 @@ from magsphere import atlas
 from magsphere.core import DomainError, cot_potential, identical_params
 from magsphere.equilibria import type1, type2, type2_threshold
 from magsphere.reduced import casimir_array, rhs
-from magsphere.stability import classify, jacobian_matrix
+from magsphere.stability import classify
+
+from reference import jacobian_matrix
 
 
 def test_threshold_curve_values():

@@ -44,6 +44,9 @@ def test_cot_potential_derivatives():
         h = 1e-6
         fd = (V.value(q + h) - V.value(q - h)) / (2 * h)
         assert V.derivative(q) == pytest.approx(fd, abs=1e-8)
+        fd2 = (V.derivative(q + h) - V.derivative(q - h)) / (2 * h)
+        assert V.second(q) == pytest.approx(fd2, abs=1e-7)
+        assert V.second(np.array([q]))[0] == V.second(q)
     assert V.analytic
 
 
@@ -105,15 +108,16 @@ def _vanishing(dV):
 @pytest.mark.parametrize("name,q,v", _pchip_tables(), ids=[t[0] for t in _pchip_tables()])
 def test_pchip_matches_scipy(name, q, v):
     """Slopes, V and V' against scipy's PchipInterpolator, inside and beyond
-    the nodes, to 1e-13 of the largest magnitude; the table is rejected for
-    a vanishing derivative exactly when scipy's interpolant would be."""
+    the nodes, to 1e-13 of the largest magnitude, and V'' bit for bit, on
+    an array and on floats; the table is rejected for a vanishing
+    derivative exactly when scipy's interpolant would be."""
     from scipy.interpolate import PchipInterpolator
 
     ref = PchipInterpolator(q, v)
     dref = ref.derivative()
     close = lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-13,
                                                     atol=1e-13 * np.max(np.abs(b)))
-    value, derivative = pchip(q, v)
+    value, derivative, second = pchip(q, v)
     d = derivative(q)                       # the node slopes
     close(d[:-1], ref.c[2])                 # the cubic on [q_i, q_i+1] starts with d_i
     close(d[-1], dref(q[-1]))
@@ -121,6 +125,9 @@ def test_pchip_matches_scipy(name, q, v):
     x = np.linspace(q[0] - 0.3 * span, q[-1] + 0.3 * span, 2000)
     close(value(x), ref(x))
     close(derivative(x), dref(x))
+    d2ref = ref.derivative(2)(x)
+    assert np.array_equal(second(x), d2ref)
+    assert [second(t) for t in x.tolist()] == d2ref.tolist()
     if name == "end_zero":
         assert d[0] == 0.0
     if name == "end_clip":

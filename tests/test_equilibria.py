@@ -33,8 +33,10 @@ from magsphere.equilibria import (
     type2_arrays,
     type2_threshold,
 )
-from magsphere.reduced import derivative_matrix, residual, rhs
+from magsphere.reduced import residual, rhs
 from magsphere.stability import hessian_signature, linearize, stability_rows
+
+from reference import derivative_matrix, jacobian_matrix
 
 
 def test_type1_records_are_equilibria():
@@ -380,12 +382,11 @@ def test_float_solver_equals_the_array_reference(monkeypatch, case):
 @pytest.mark.parametrize("table", [False, True], ids=["cot", "table"])
 def test_general_solver_hands_rhs_python_floats(monkeypatch, table):
     """Every state that _branch, _polish and make_record pass to rhs is a
-    tuple of five Python floats, one of them (m2 or m3) complex in a
-    complex step; each Newton step makes one residual call and two
-    complex-step calls (cot) or four central-difference calls (table)."""
+    tuple of five Python floats, none of them complex; each Newton step
+    makes exactly one rhs call, since its block is in closed form."""
     q, params = _criterion_12_systems()[3]
     V = _table_cot_plus_linear() if table else cot_potential(params)
-    states, block_calls = [], []
+    states, steps = [], []
     rhs0, block0 = equilibria.rhs, equilibria._block
 
     def recorder(x, params, V):
@@ -393,20 +394,15 @@ def test_general_solver_hands_rhs_python_floats(monkeypatch, table):
         return rhs0(x, params, V)
 
     def block(*args):
-        start = len(states)
-        out = block0(*args)
-        block_calls.append(len(states) - start)
-        return out
+        steps.append(len(states))
+        return block0(*args)
 
     monkeypatch.setattr(equilibria, "rhs", recorder)
     monkeypatch.setattr(equilibria, "_block", block)
     solutions = _solutions(params, V, q)
+    assert states and steps
     for x in states:
-        kinds = [type(v) for v in x]
-        assert type(x) is tuple and kinds[0] is kinds[3] is kinds[4] is float, kinds
-        assert kinds[1:3] in ([float, float], [complex, float], [float, complex]), kinds
-        assert not table or complex not in kinds
-    assert block_calls and set(block_calls) == {4 if table else 2}
+        assert type(x) is tuple and [type(v) for v in x] == [float] * 5, x
 
     _, m2, m3, *_ = solutions[0]
     for step, args, calls in ((equilibria._branch, (m3,), 2),
@@ -414,11 +410,48 @@ def test_general_solver_hands_rhs_python_floats(monkeypatch, table):
         del states[:]
         step(*args, q, params, V)
         assert len(states) == calls
-    del states[:], block_calls[:]
+    del states[:], steps[:]
     assert equilibria._polish(m2 * (1 + 1e-6), m3, q, params, V) is not None
-    assert len(block_calls) >= 2
-    assert len(states) == (1 + block_calls[0]) * len(block_calls) + 1
+    # step k takes its block after the k-th rhs call; one more call ends the loop
+    assert len(steps) >= 2 and steps == list(range(1, len(steps) + 1))
+    assert len(states) == len(steps) + 1
 
+
+@pytest.mark.parametrize("case", ["criterion12_cot", "criterion12_table", "criterion02"])
+def test_block_equals_the_reference_jacobian(case):
+    """The closed-form (m1', p') x (m2, m3) block of the polish against the
+    same block of the reference Jacobian of rhs (complex step for cot,
+    central differences for a table), at every record of the systems and
+    at the record with m2 and m3 moved by 1e-3 relative, off equilibrium.
+    Measured worst, relative to the largest entry: cot 1.1e-15, table
+    3.1e-9 (the central-difference error)."""
+    systems = _criterion_02_systems() if case == "criterion02" else _criterion_12_systems()
+    table = _table_cot_plus_linear() if case == "criterion12_table" else None
+    bound = 1e-8 if table else 1e-14
+    for q, params in systems:
+        V = table or cot_potential(params)
+        for rec in solve_general(q, params, V):
+            for k in (1.0, 1.001):
+                m2, m3 = rec.state.m2 * k, rec.state.m3 / k
+                got = np.array(equilibria._block(m2, m3, q, params)).reshape(2, 2)
+                x = np.array([0.0, m2, m3, q, 0.0])
+                want = jacobian_matrix(x, params, V)[[0, 4]][:, [1, 2]]
+                err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert err <= bound, (q, params, k, err)
+
+
+@pytest.mark.parametrize("q", [0.0, np.nan, 1e-9, -1.0, np.pi])
+def test_solve_general_checks_q_before_it_computes(tmp_path, capsys, q):
+    """A q outside [Q_EDGE, pi - Q_EDGE] or NaN is a DomainError, from the
+    library and from `magsphere equilibria` (exit 2), where it used to be a
+    ZeroDivisionError traceback (0), an empty list (NaN) or NoAdmissibleRoot."""
+    with pytest.raises(DomainError, match="outside guarded interval"):
+        solve_general(q, _GENERAL, cot_potential(_GENERAL))
+    out = tmp_path / "r.json"
+    assert cli.main(["equilibria", "--mu1", "1.3", "--B", "1", "--q", repr(q),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("DomainError: q=")
+    assert not out.exists()
 
 
 def _kept(fn, exc) -> bool:

@@ -219,7 +219,8 @@ def test_one_particle_rhs_matches_cross_product_formula(rng):
 def test_full_integrate_non_finite_state(params):
     """A NaN force is reported as NonFiniteState at the first step, before
     the distance guard sees the NaN state."""
-    nan = Potential(value=lambda q: q * np.nan, derivative=lambda q: q * np.nan, name="nan")
+    nan = Potential(value=lambda q: q * np.nan, derivative=lambda q: q * np.nan,
+                    second=lambda q: q * np.nan, name="nan")
     s = ReducedState(0.05, -0.1, 0.12, 1.5, 0.03)
     with pytest.raises(NonFiniteState, match=r"non-finite state at t=0\.001$"):
         full_integrate(lift_state(s, params), params, nan, t_end=0.01, dt=1e-3)
@@ -228,7 +229,8 @@ def test_full_integrate_non_finite_state(params):
 def test_full_integrate_collision_guard():
     """Two force-free particles run head-on along one great circle and meet
     at t = 0.25; the distance guard stops the run at that step."""
-    free = Potential(value=lambda q: 0.0 * q, derivative=lambda q: 0.0 * q, name="free")
+    free = Potential(value=lambda q: 0.0 * q, derivative=lambda q: 0.0 * q,
+                     second=lambda q: 0.0 * q, name="free")
     p = SystemParams(1, 1, 1, 1, 0.0)
     a = 0.25
     s, c = np.sin(a), np.cos(a)
@@ -247,7 +249,8 @@ def test_full_integrate_catches_a_pass_within_one_step(theta, omega):
     placement) at t = 0.255, between the steps at 0.25 and 0.26, where the
     distance is 0.01 from the edge on either side: only the reversal of
     q1 x q2 shows the pass."""
-    free = Potential(value=lambda q: 0.0 * q, derivative=lambda q: 0.0 * q, name="free")
+    free = Potential(value=lambda q: 0.0 * q, derivative=lambda q: 0.0 * q,
+                     second=lambda q: 0.0 * q, name="free")
     p = SystemParams(1, 1, 1, 1, 0.0)
     x = [[0, np.sin(a), -np.cos(a)] for a in theta]
     v = [[0, w * np.cos(a), w * np.sin(a)] for a, w in zip(theta, omega)]

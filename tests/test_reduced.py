@@ -223,7 +223,8 @@ def test_trajectory_csv_matches_row_by_row_formatting(writer, params, V):
 def test_integrate_non_finite_state(params):
     """A NaN force is reported as NonFiniteState, before the q guard sees the
     NaN state."""
-    nan = Potential(value=lambda q: q * np.nan, derivative=lambda q: q * np.nan, name="nan")
+    nan = Potential(value=lambda q: q * np.nan, derivative=lambda q: q * np.nan,
+                    second=lambda q: q * np.nan, name="nan")
     with pytest.raises(NonFiniteState, match=r"non-finite state at t=0\.001$"):
         integrate(ReducedState(0.05, -0.1, 0.12, 1.5, 0.03), params, nan, t_end=0.01, dt=1e-3)
 
@@ -232,7 +233,8 @@ def test_integrate_infinite_force_is_a_non_finite_state(params):
     """An infinite force drives q to -inf within the first step, where
     math.sin raises ValueError on floats; that step is reported as
     NonFiniteState, as the NaN it gives in numpy is."""
-    inf = Potential(value=lambda q: q * np.inf, derivative=lambda q: q * np.inf, name="inf")
+    inf = Potential(value=lambda q: q * np.inf, derivative=lambda q: q * np.inf,
+                    second=lambda q: q * np.inf, name="inf")
     with pytest.raises(NonFiniteState, match=r"non-finite state at t=0\.001$"):
         integrate(ReducedState(0.05, -0.1, 0.12, 1.5, 0.03), params, inf, t_end=0.01, dt=1e-3)
 

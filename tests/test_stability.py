@@ -21,13 +21,12 @@ from magsphere.equilibria import (
     type2,
     type2_threshold,
 )
-from magsphere.reduced import derivative_matrix, grad_casimir, grad_hamiltonian, rhs
+from magsphere.reduced import grad_casimir, grad_hamiltonian, rhs
 from magsphere.stability import (
     Classification,
     char_coefficients,
     classify,
     hessian_signature,
-    jacobian_matrix,
     linearize,
     signature_arrays,
     stability_csv,
@@ -35,6 +34,8 @@ from magsphere.stability import (
     threshold_stability,
     type1_boundary,
 )
+
+from reference import derivative_matrix, jacobian_matrix
 
 
 def test_classify_table():
@@ -56,6 +57,7 @@ def test_classify_arrays_match_scalar_calls():
 
 
 def test_jacobian_matches_finite_differences(rng):
+    """The reference Jacobian (complex step) against central differences."""
     params = identical_params(2.5)
     V = cot_potential(params)
     d = 1e-6
@@ -70,6 +72,7 @@ def test_jacobian_matches_finite_differences(rng):
 
 
 def test_batched_jacobian_matches_single_states(rng):
+    """The reference Jacobian of a batch against its states one by one."""
     params = identical_params(2.5)
     x = np.concatenate([rng.uniform(-1, 1, (3, 12)), rng.uniform(0.5, 2.6, (1, 12)),
                         rng.uniform(-1, 1, (1, 12))])
@@ -220,8 +223,8 @@ def _table_cot():
 
 @pytest.mark.parametrize("table", [False, True])
 def test_stability_rows_equal_per_record_linearize(table):
-    """Batched rows against one linearize call per grid entry, for the
-    complex-step (cot) and central-difference (table) derivatives."""
+    """Batched rows against one linearize call per grid entry, for cot and
+    for a table potential."""
     V = _table_cot() if table else cot_potential(identical_params(1.0))
     grid = closed_form_grid([0.7, 1.2, 2.0, 2.6], [1.0, 2.5, 4.0])
     rows = stability_rows(grid, V)
@@ -380,8 +383,9 @@ def test_linearize_equals_the_direct_jacobian_on_the_acceptance_grid():
 @pytest.mark.parametrize("seed", [1, 7])
 def test_linearize_equals_the_direct_jacobian_on_general_records(seed):
     """The same on the general records of seeds 1 and 7.  Measured worst
-    over both seeds: cot |J - sigma M| 8.9e-14 max|J| and (a, b) 5.5e-13;
-    table 1.1e-9 and 4.9e-8 (central differences)."""
+    over both seeds: cot |J - sigma M| 8.9e-14 max|J| and (a, b) 5.7e-13;
+    table 5.2e-10 and 1.3e-7 (the reference's central differences against
+    the closed-form D2H)."""
     cases = _general_cases(seed)
     assert {V.analytic for _, V in cases} == {True, False} and len(cases) > 400
     for rec, V in cases:
