@@ -77,6 +77,8 @@ class SystemParams:
 
     B may also be an array that broadcasts against a batch of states, so
     that one call of `rhs` or its derivatives covers many field strengths.
+    Every field must be finite; the scalar ones are stored as Python floats,
+    so that the float kernels do float arithmetic on them.
     """
 
     mu1: float
@@ -86,6 +88,12 @@ class SystemParams:
     B: float
 
     def __post_init__(self):
+        array_B = np.ndim(self.B) > 0
+        for name in ("mu1", "mu2", "e1", "e2") + (() if array_B else ("B",)):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        finite_B = np.isfinite(self.B).all() if array_B else math.isfinite(self.B)
+        if not (finite_B and all(map(math.isfinite, (self.mu1, self.mu2, self.e1, self.e2)))):
+            raise DomainError(f"parameters must be finite: {self}")
         if not (self.mu1 > 0 and self.mu2 > 0):
             raise DomainError(f"masses must be positive: mu1={self.mu1}, mu2={self.mu2}")
         if self.e1 == 0 or self.e2 == 0:
@@ -366,8 +374,9 @@ def kinetic_gradient(x, params: SystemParams):
     q-component, and `reduced.hessian_hamiltonian` is its derivative."""
     mu1, mu2 = params.mu1, params.mu2
     m1, m2, m3, q, p = x
-    s = np.sin(q)
-    cot = np.cos(q) / s
+    m = mathlib(q)
+    s = m.sin(q)
+    cot = m.cos(q) / s
     csc2 = 1.0 / (s * s)
     w1 = (m1 - p) / mu1
     w2 = (m2 - m3 * cot) / mu1

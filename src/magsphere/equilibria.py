@@ -402,8 +402,7 @@ def _polish(m2, m3, q, params, V, iters=30, tol=1e-13):
         det = a * d - b * c
         if det == 0 or not math.isfinite(det):
             return None
-        # float(): numpy scalars in params would make the state numpy scalars
-        m2, m3 = float(m2 - (d * F1 - b * F2) / det), float(m3 - (a * F2 - c * F1) / det)
+        m2, m3 = m2 - (d * F1 - b * F2) / det, m3 - (a * F2 - c * F1) / det
         if not (math.isfinite(m2) and math.isfinite(m3)):
             return None
     return (m2, m3) if abs(F1) <= 1e-10 and abs(F2) <= 1e-10 else None

@@ -58,7 +58,8 @@ def hessian_hamiltonian(x, params: SystemParams, V: Potential) -> np.ndarray:
     (5, ...), with shape (..., 5, 5); T is quadratic in the momenta."""
     mu1, mu2 = params.mu1, params.mu2
     m1, m2, m3, q, p = x
-    s, c = np.sin(q), np.cos(q)
+    m = mathlib(q)
+    s, c = m.sin(q), m.cos(q)
     s2, k, mu = s * s, mu1 * mu2, mu1 + mu2
     upper = {
         (0, 0): 1 / mu1, (1, 1): 1 / mu1, (0, 4): -1 / mu1, (4, 4): mu / k,
@@ -121,9 +122,10 @@ def hessian_casimir(x, params: SystemParams) -> np.ndarray:
     d2C/dm3dq = -2b sin q and d2C/dq2 = 2b (m2 sin q - (m3 + B e1) cos q)."""
     m1, m2, m3, q, p = x
     b = params.B * params.e2
-    s, c = np.sin(q), np.cos(q)
+    m = mathlib(q)
+    s, c = m.sin(q), m.cos(q)
     D = np.zeros(np.shape(m2 * b) + (5, 5))
-    D[..., (0, 1, 2), (0, 1, 2)] = 2.0
+    D[..., 0, 0] = D[..., 1, 1] = D[..., 2, 2] = 2.0
     D[..., 1, 3] = D[..., 3, 1] = -2 * b * c
     D[..., 2, 3] = D[..., 3, 2] = -2 * b * s
     D[..., 3, 3] = 2 * b * (m2 * s - (m3 + params.B * params.e1) * c)
@@ -138,7 +140,7 @@ def poisson_matrix(x, params: SystemParams) -> np.ndarray:
     m = mathlib(q)
     b2 = params.B * params.e2
     upper = (-v3, v2, -v1, b2 * m.cos(q), b2 * m.sin(q), 1.0)
-    sig = np.zeros(np.shape(v3) + (5, 5), dtype=np.result_type(x, float))
+    sig = np.zeros(np.shape(v3) + (5, 5), dtype=np.result_type(*upper))
     for (i, j), v in zip(((0, 1), (0, 2), (1, 2), (1, 4), (2, 4), (3, 4)), upper):
         sig[..., i, j] = v
         sig[..., j, i] = -v

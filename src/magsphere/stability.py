@@ -6,9 +6,10 @@ gives both answers: the Jacobian of rhs = sigma grad H is J = sigma M, since
 sigma grad C = 0, and M on the Casimir level set gives the energy-Casimir
 signature.  J = sigma M holds only at equilibria of the potential passed in;
 a record's residual is checked under the potential that made it.  Nothing
-here differentiates numerically, and all of it works on batches.  The
-characteristic polynomial at an equilibrium is x(-x^4 + a x^2 + b); the
-class is read off (a, b).
+here differentiates numerically.  The kernels take a batch of states, or
+one record as a tuple of floats (`linearize`), and one `eigvalsh` gives the
+signature.  The characteristic polynomial at an equilibrium is
+x(-x^4 + a x^2 + b); the class is read off (a, b).
 """
 
 from __future__ import annotations
@@ -66,12 +67,10 @@ def classify(a, b, tol: float = 1e-10):
     reported Degenerate rather than forced into a class.  Scalar (a, b)
     give one Classification, arrays an object array of them.
     """
-    a, b = np.asarray(a), np.asarray(b)
     disc = a * a + 4 * b
-    degenerate = (np.abs(a) <= tol) | (np.abs(b) <= tol) | (np.abs(disc) <= tol)
+    degenerate = (abs(a) <= tol) | (abs(b) <= tol) | (abs(disc) <= tol)
     stable = (a < 0) & (disc > 0) & (b < 0)
-    code = np.where(degenerate, 2, np.where(stable, 0, 1))
-    return _CLASSES[code] if code.ndim else _CLASSES[int(code)]
+    return _CLASSES[2 * degenerate + (1 - degenerate) * (1 - stable)]   # Degenerate, else 0 or 1
 
 
 def char_coefficients(J: np.ndarray):
@@ -84,11 +83,10 @@ def char_coefficients(J: np.ndarray):
     b = -c4.  Scalar for one Jacobian, arrays of shape (...) for a batch.
     """
     J2 = J @ J
-    Jt, J2t = np.swapaxes(J, -1, -2), np.swapaxes(J2, -1, -2)
-    p1 = np.trace(J, axis1=-2, axis2=-1)
-    p2 = np.trace(J2, axis1=-2, axis2=-1)
-    p3 = np.sum(J2 * Jt, axis=(-2, -1))
-    p4 = np.sum(J2 * J2t, axis=(-2, -1))
+    p1 = J.trace(axis1=-2, axis2=-1)
+    p2 = J2.trace(axis1=-2, axis2=-1)
+    p3 = (J2 * J.swapaxes(-1, -2)).sum(axis=(-2, -1))
+    p4 = (J2 * J2.swapaxes(-1, -2)).sum(axis=(-2, -1))
     c1 = -p1
     c2 = -(c1 * p1 + p2) / 2
     c3 = -(c2 * p1 + c1 * p2 + p3) / 3
@@ -108,7 +106,7 @@ def stability_arrays(x, params, V: Potential, tol: Tolerances = DEFAULT_TOL):
 
 def _check_residual(residual, tol: Tolerances) -> None:
     """Raise ResidualTooLarge unless every residual passes the record cut."""
-    if not np.all(passes_residual_cut(residual, tol)):
+    if not passes_residual_cut(residual, tol).all():
         raise ResidualTooLarge(f"record residual {np.max(residual)} fails the cut {tol.record_residual}")
 
 
@@ -117,26 +115,26 @@ def energy_casimir_hessian(x, params, V: Potential):
     equilibria x of shape (5, ...), with shape (..., 5, 5), and grad C with
     its component axis last.  params.B may be an array broadcasting
     against x[0]."""
-    x = np.asarray(x, dtype=float)
-    last = (*range(1, x.ndim), 0)          # puts the component axis last
-    gH = grad_hamiltonian(x, params, V).transpose(last)
-    gC = grad_casimir(x, params).transpose(last)
+    gH, gC = grad_hamiltonian(x, params, V), grad_casimir(x, params)
+    last = (*range(1, gC.ndim), 0)         # puts the component axis last
+    gH, gC = gH.transpose(last), gC.transpose(last)
     lam = (gH * gC).sum(axis=-1) / (gC * gC).sum(axis=-1)
     return hessian_hamiltonian(x, params, V) - lam[..., None, None] * hessian_casimir(x, params), gC
 
 
 def _signatures(M: np.ndarray, gC: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Signatures of the Hessians M restricted to the complements of grad C,
-    shape (..., 3); (0, 0, 4) wherever the restriction is singular."""
-    # orthonormal basis of the complement of grad C
-    n = gC / np.sqrt((gC * gC).sum(axis=-1))[..., None]
-    basis = np.linalg.svd(np.eye(5) - n[..., :, None] * n[..., None, :])[0][..., :4]
-    R = basis.swapaxes(-1, -2) @ M @ basis
-    w = np.linalg.eigvalsh(R)
-    n_plus = (w > tol.eigenvalue).sum(axis=-1)
-    n_minus = (w < -tol.eigenvalue).sum(axis=-1)
-    sig = np.stack([n_plus, n_minus, 4 - n_plus - n_minus], axis=-1)
-    singular = np.abs(np.linalg.det(R)) < 1e-10
+    shape (..., 3); (0, 0, 4) wherever the restriction is singular.  With
+    n = grad C/|grad C| and P = I - n n^T, the four smallest eigenvalues of
+    P M P + c n n^T, c = 1 + |M|_F > |M|_2, are those of M on n's
+    complement: n is the fifth eigenvector, with eigenvalue c."""
+    nn = gC[..., :, None] * gC[..., None, :] / (gC * gC).sum(axis=-1)[..., None, None]
+    P = np.eye(5) - nn
+    c = 1.0 + np.sqrt((M * M).sum(axis=(-2, -1)))
+    w = np.linalg.eigvalsh(P @ M @ P + c[..., None, None] * nn)[..., :4]
+    side = np.where(np.abs(w) > tol.eigenvalue, np.sign(w), 0.0)    # +1, -1 or 0
+    sig = (side[..., None] == (1.0, -1.0, 0.0)).sum(axis=-2)
+    singular = np.abs(w.prod(axis=-1)) < 1e-10
     return np.where(singular[..., None], (0, 0, 4), sig)
 
 
@@ -174,7 +172,8 @@ def linearize(
     Hessian M: the Jacobian sigma M and the signature of M.  The record must
     be an equilibrium under V (see the module docstring)."""
     _check_residual(record.residual, tol)
-    J, sig = _jacobians_and_signatures(record.state.as_array(), record.params, V, tol)
+    s = record.state
+    J, sig = _jacobians_and_signatures((s.m1, s.m2, s.m3, s.q, s.p), record.params, V, tol)
     a, b = char_coefficients(J)
     return LinearizationReport(
         jacobian=J,

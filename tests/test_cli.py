@@ -78,6 +78,19 @@ def test_simulate_collision_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--B", "inf", "--q", "1.0", "--family", "type1"],
+    ["--mu1", "1.3", "--e2", "nan", "--B", "1", "--q", "1.2"],
+    ["--B", "nan"],
+], ids=["B_inf", "e2_nan", "B_nan"])
+def test_non_finite_parameters_are_domain_errors(capsys, argv):
+    """A NaN or infinite parameter exits 2 with a DomainError, before any
+    equilibrium is computed."""
+    assert main(["equilibria", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be finite" in err
+
+
 def test_missing_flags_exit_code():
     assert main(["simulate", "--B", "2.5"]) == 1
     assert main(["stability", "--B", "2.5"]) == 1

@@ -26,6 +26,28 @@ def test_params_validation():
     assert identical_params(3.0).identical
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["mu1", "mu2", "e1", "e2", "B"])
+def test_params_reject_non_finite_fields(field, value):
+    """A NaN or infinite field is a DomainError, and so is such an entry of
+    an array B."""
+    base = dict(mu1=1.3, mu2=0.7, e1=1.0, e2=-2.0, B=0.9)
+    with pytest.raises(DomainError, match="finite"):
+        SystemParams(**{**base, field: value})
+    with pytest.raises(DomainError, match="finite"):
+        identical_params(np.array([0.5, value, 2.0]))
+
+
+def test_params_store_floats_and_keep_an_array_B():
+    """Scalar fields given as numpy scalars are stored as Python floats; an
+    array B is kept as it is."""
+    p = SystemParams(*map(np.float64, (1.3, 0.7, 1.0, -2.0, 0.9)))
+    assert all(type(v) is float for v in (p.mu1, p.mu2, p.e1, p.e2, p.B))
+    assert p == SystemParams(1.3, 0.7, 1.0, -2.0, 0.9)
+    B = np.array([0.5, 2.0])
+    assert identical_params(B).B is B
+
+
 def test_state_q_guard():
     with pytest.raises(DomainError):
         ReducedState(0, 0, 0, 0.0, 0)

@@ -1,6 +1,7 @@
 """Import budget: magsphere runs on numpy alone.  `import magsphere`, the
 cot-potential CLI paths, the tabulated potential and the atlas's isosceles
-window load no scipy module, and no module under src/magsphere imports it.
+window load no scipy module, no module under src/magsphere imports it, and
+the CI workflow's numpy-only job runs with scipy and sympy unimportable.
 
 Each run check uses a fresh interpreter, since this one has long since
 imported scipy for other tests.
@@ -19,11 +20,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCIPY_MODULES = "sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.'))"
 
 
-def _fresh(code: str) -> str:
+def _fresh(code: str, cwd=None) -> str:
     """Standard output of `code` run in a new interpreter on this src/."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
 
@@ -64,6 +65,34 @@ for argv in (["atlas", "--diagram", "ec", "--B", "2.5"], ["atlas", "--diagram", 
 print({SCIPY_MODULES})
 """
     assert _fresh(code) == "[]"
+
+
+def test_numpy_only_ci_job_runs(tmp_path):
+    """The workflow's numpy-only job, after its install step, in a new
+    interpreter where scipy and sympy cannot be imported: each `python -c`
+    line runs by exec and each `magsphere` line through cli.main, which
+    must return 0."""
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((SRC.parent / ".github" / "workflows" / "tests.yml").read_text())
+    steps = workflow["jobs"]["numpy-only"]["steps"]
+    lines = [line for step in steps if "magsphere " in step.get("run", "")
+             for line in step["run"].splitlines()]
+    assert sum(line.startswith("magsphere ") for line in lines) == 4
+    code = f"""
+import shlex, sys
+sys.modules["scipy"] = sys.modules["sympy"] = None     # importing either now raises
+from magsphere import cli
+for line in {lines!r}:
+    argv = shlex.split(line)
+    if argv[:2] == ["python", "-c"]:
+        exec(argv[2], {{}})
+    else:
+        assert argv[0] == "magsphere" and cli.main(argv[1:]) == 0, line
+print()   # the records on stdout end without a newline
+print("ran", len({lines!r}))
+"""
+    assert _fresh(code, cwd=tmp_path) == f"ran {len(lines)}"
+    assert (tmp_path / "map.csv").read_text().startswith("q,B,family,")
 
 
 def test_no_module_imports_scipy():

@@ -17,11 +17,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
 from magsphere.core import SystemParams, cot_potential, csv_text, kinetic_gradient, table_potential
-from magsphere.equilibria import _block, equilibrium_values
+from magsphere.equilibria import _block, equilibrium_values, solve_general
 from magsphere.fullspace import _project, full_rhs, geodesic_distance, one_particle_rhs
 from magsphere.reduced import (_casimir_projection, casimir_array, grad_casimir, grad_hamiltonian,
-                               hamiltonian_array, hessian_casimir, hessian_hamiltonian, rhs,
-                               shifted_momentum)
+                               hamiltonian_array, hessian_casimir, hessian_hamiltonian,
+                               poisson_matrix, rhs, shifted_momentum)
+from magsphere.stability import energy_casimir_hessian, linearize, signature_arrays, stability_arrays
 
 from conftest import per_value_csv
 from reference import derivative_matrix
@@ -48,6 +49,16 @@ def _assert_columns(kernel, X):
         one = kernel(tuple(X[:, j].tolist()))
         assert all(isinstance(v, float) for v in (one if isinstance(one, tuple) else (one,)))
         assert np.array_equal(np.array(one), batch[..., j]), j
+
+
+def _assert_rows(kernel, X):
+    """kernel on each column j of X as a tuple of floats returns, array for
+    array, row j of what it returns on X (a tuple of (N, ...) arrays); a NaN
+    (M where grad C = 0) must be a NaN in both."""
+    batch = kernel(X)
+    for j in range(X.shape[1]):
+        for one, rows in zip(kernel(tuple(X[:, j].tolist())), batch, strict=True):
+            assert np.array_equal(one, rows[j], equal_nan=True), j
 
 
 def _apart(y):
@@ -174,7 +185,8 @@ def test_energy_kernels_one_state_equal_batch_column(params, states, table):
     """H, its gradient (the Legendre map included), grad C and the
     (H, C, residual) of a record, for cot and a table: one state as floats,
     as `make_record` passes it, equals its column of a batch, as the
-    closed-form grids pass them."""
+    closed-form grids pass them.  So do D2H, D2C, sigma and (M, grad C) of
+    `energy_casimir_hessian`, as `linearize` passes one record."""
     V = TABLE if table else cot_potential(params)
     X = _batch(states)
     _assert_columns(lambda x: hamiltonian_array(x, params, V), X)
@@ -182,6 +194,32 @@ def test_energy_kernels_one_state_equal_batch_column(params, states, table):
     _assert_columns(lambda x: tuple(grad_hamiltonian(x, params, V)), X)
     _assert_columns(lambda x: tuple(grad_casimir(x, params)), X)
     _assert_columns(lambda x: equilibrium_values(x, params, V), X)
+    _assert_rows(lambda x: (hessian_hamiltonian(x, params, V),), X)
+    _assert_rows(lambda x: (hessian_casimir(x, params),), X)
+    _assert_rows(lambda x: (poisson_matrix(x, params),), X)
+    with np.errstate(invalid="ignore"):         # lam = 0/0 where grad C = 0
+        _assert_rows(lambda x: energy_casimir_hessian(x, params, V), X)
+
+
+@FIXED
+@given(systems, st.floats(0.25, np.pi - 0.25), st.booleans())
+def test_linearize_equals_its_batch_column(params, q, table):
+    """`linearize` on each record of `solve_general`, for cot and a table,
+    equals that record's column of the batched kernels bit for bit: J =
+    sigma M, (a, b) and class of `stability_arrays`, and the signature of
+    `signature_arrays`."""
+    assume(abs(q - np.pi / 2) > 0.05)
+    V = TABLE if table else cot_potential(params)
+    records = solve_general(q, params, V)
+    X = np.array([r.state.as_array() for r in records]).T
+    J = poisson_matrix(X, params) @ energy_casimir_hessian(X, params, V)[0]
+    a, b, classes = stability_arrays(X, params, V)
+    sigs = signature_arrays(X, params, V).tolist()
+    for j, r in enumerate(records):
+        rep = linearize(r, V)
+        assert np.array_equal(rep.jacobian, J[j]), j
+        assert rep.char_coeffs == (a[j], b[j]) and rep.classification is classes[j], j
+        assert rep.hessian_signature == tuple(sigs[j]), j
 
 
 @FIXED

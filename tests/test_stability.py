@@ -281,6 +281,18 @@ def test_signature_arrays_equal_per_record_reference(table):
             assert hessian_signature(rec, V) == sig
 
 
+def test_signatures_equal_the_svd_reference_on_general_records():
+    """The signature of `linearize` against the SVD-basis reference on
+    general records, where masses and charges differ from draw to draw:
+    criterion 12's draws (seed 12), alternately under V = cot and under the
+    256-node table of the benchmark's `general` workload."""
+    cases = _general_cases(12, nodes=256)
+    assert {V.analytic for _, V in cases} == {True, False} and len(cases) > 400
+    sigs = [linearize(rec, V).hessian_signature for rec, V in cases]
+    assert len(set(sigs)) > 1
+    assert sigs == [_ref_hessian_signature(rec, V) for rec, V in cases]
+
+
 def test_signature_at_the_meeting_point_is_singular():
     """The restricted Hessian of the Type II meeting point (a cusp) is
     singular: the signature is (0, 0, 4) there instead of an error."""
@@ -336,13 +348,20 @@ def _reference_linearize(x, params, V, tol=DEFAULT_TOL):
     return J, (a, b), classify(a, b, tol.classify), sig
 
 
-def _general_cases(seed):
+def _general_table(nodes=400):
+    """The potential cot q + q/2 tabulated on `nodes` nodes (256 in the
+    benchmark's `general` workload)."""
+    q = np.linspace(0.1, np.pi - 0.1, nodes)
+    return table_potential(q, 1 / np.tan(q) + 0.5 * q)
+
+
+def _general_cases(seed, nodes=400):
     """(record, V) for the items of the benchmark's `general` workload at a
-    seed: criterion-12 draws, alternately under V = cot and under a 400-node
-    table of cot q + q/2, each record polished by solve_general under its V."""
+    seed: criterion-12 draws, alternately under V = cot and under
+    `_general_table(nodes)`, each record polished by solve_general under
+    its V."""
     rng = np.random.default_rng(seed)
-    nodes = np.linspace(0.1, np.pi - 0.1, 400)
-    table = table_potential(nodes, 1 / np.tan(nodes) + 0.5 * nodes)
+    table = _general_table(nodes)
     cases = []
     while len(cases) < 200:
         q = rng.uniform(0.25, np.pi - 0.25)
@@ -353,6 +372,30 @@ def _general_cases(seed):
                               rng.choice([-1, 1]) * rng.uniform(0.5, 2), rng.uniform(0.1, 5))
         cases.append((q, params, table if len(cases) % 2 else cot_potential(params)))
     return [(r, V) for q, params, V in cases for r in solve_general(q, params, V)]
+
+
+def test_general_records_do_not_depend_on_the_charges_numeric_type():
+    """solve_general records and their linearize reports are the same bit
+    for bit whether the charges come in as np.float64, as criterion 12 and
+    the benchmark's `general` workload draw them, or as Python floats."""
+    table = _general_table(256)
+    rng = np.random.default_rng(1)
+
+    def answers(q, params, V):
+        reps = [(r, linearize(r, V)) for r in solve_general(q, params, V)]
+        return [(r.state, r.H, r.C, r.residual, rep.jacobian.tobytes(), rep.char_coeffs,
+                 rep.classification, rep.hessian_signature) for r, rep in reps]
+
+    for k in range(40):
+        q = rng.uniform(0.25, 1.5) if k % 2 else rng.uniform(1.65, np.pi - 0.25)
+        mu1, mu2 = rng.uniform(0.5, 3), rng.uniform(0.5, 3)
+        e1, e2 = (rng.choice([-1, 1]) * rng.uniform(0.5, 2) for _ in range(2))
+        assert type(e1) is np.float64
+        B = rng.uniform(0.1, 5)
+        numpy_params = SystemParams(mu1, mu2, e1, e2, B)
+        float_params = SystemParams(mu1, mu2, float(e1), float(e2), B)
+        for V in (cot_potential(numpy_params), table):
+            assert answers(q, numpy_params, V) == answers(q, float_params, V)
 
 
 def _assert_as_reference(rep, J, ab, cls, sig, j_bound, ab_bound):
