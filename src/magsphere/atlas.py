@@ -25,13 +25,14 @@ from .core import (
 from .equilibria import (
     EquilibriumRecord,
     closed_form_grid,
+    equilibrium_states,
     type1,
     type1_arrays,
-    type2,
+    type2,                  # not called here; perfbench checks atlas.type2 after tracing
     type2_arrays,
     type2_threshold,
 )
-from .reduced import shifted_momentum
+from .reduced import casimir_array, hamiltonian_array, shifted_momentum
 from .stability import stability_arrays
 
 B_CRITICAL = (4.0 / 3.0) * 3.0**0.25      # minimum of the existence threshold
@@ -185,22 +186,26 @@ def energy_casimir_diagram(
         raise DomainError("B must be positive")
     if q_samples is None:
         q_samples = default_q_axis()
-    branches = []
+    rows = []                        # (tag, q, m2, m3) per branch
     for tag, lo, hi in (
         ("TypeI_acute", 0.0, np.pi / 2),
         ("TypeI_obtuse", np.pi / 2, np.pi),
     ):
         qs = q_samples[(q_samples > lo + 1e-4) & (q_samples < hi - 1e-4)]
         forms = type1_arrays(qs, B)
-        C, H = forms.C[0], forms.H[0]
-        branches.append(Branch(tag, qs, C, H, _find_cusps(qs, C, H)))
+        rows.append((tag, qs, forms.m2[0], forms.m3[0]))
     if B > B_CRITICAL:
         q0, q1 = type2_window(B)
         qs = np.linspace(q0 + 1e-9, q1 - 1e-9, max(200, len(q_samples) // 2))
         forms = type2_arrays(qs, B)
-        for tag, idx in (("TypeII_plus", 0), ("TypeII_minus", 1)):
-            C, H = forms.C[idx], forms.H[idx]
-            branches.append(Branch(tag, qs, C, H, _find_cusps(qs, C, H)))
+        rows += [("TypeII_plus", qs, forms.m2[0], forms.m3[0]),
+                 ("TypeII_minus", qs, forms.m2[1], forms.m3[1])]
+    params = identical_params(B)
+    branches = []
+    for tag, qs, m2, m3 in rows:
+        x = equilibrium_states(m2, m3, qs)
+        C, H = casimir_array(x, params), hamiltonian_array(x, params, cot_potential(params))
+        branches.append(Branch(tag, qs, C, H, _find_cusps(qs, C, H)))
     return EnergyCasimirDiagram(B=B, branches=branches)
 
 
@@ -264,6 +269,13 @@ class BCRegion:
     meeting_point: tuple
 
 
+def _type2_casimir(q, B):
+    """C of the isosceles + and - members over broadcast (q, B) arrays."""
+    forms = type2_arrays(q, B)
+    C = casimir_array(equilibrium_states(forms.m2, forms.m3, q), identical_params(B))
+    return C[0], np.where(forms.count == 2, C[1], C[0])    # on the threshold + stands for both
+
+
 def bc_region(
     B_samples: Optional[np.ndarray] = None,
     n_q: int = 400,
@@ -281,10 +293,7 @@ def bc_region(
     Bs = np.array([B for B in B_samples if B > B_CRITICAL], dtype=float)
     windows = [type2_window(B) for B in Bs]
     qs = np.array([np.linspace(q0 + 1e-10, q1 - 1e-10, n_q) for q0, q1 in windows])
-    forms = type2_arrays(qs.reshape(len(Bs), n_q), Bs[:, None])   # reshape: no B above B*
-    # on the threshold the single record stands for both branches
-    C_plus = forms.C[0]
-    C_minus = np.where(forms.count == 2, forms.C[1], forms.C[0])
+    C_plus, C_minus = _type2_casimir(qs.reshape(len(Bs), n_q), Bs[:, None])  # reshape: no B > B*
     traces = []
     for B, q, Cp, Cm in zip(Bs, qs, C_plus, C_minus):
         allC = np.concatenate([Cp, Cm])
@@ -292,11 +301,10 @@ def bc_region(
             {"B": float(B), "q": q, "C_plus": Cp, "C_minus": Cm,
              "C_min": float(np.min(allC)), "C_max": float(np.max(allC))}
         )
-    # the region pinches off at the critical strength; C there from the
-    # degenerate record
-    rec = type2(Q_CRITICAL, B_CRITICAL)[0]
+    # the region pinches off at the critical strength, in one degenerate member
+    C_star = float(_type2_casimir(Q_CRITICAL, B_CRITICAL)[0])
     return BCRegion(B_values=np.asarray(B_samples), traces=traces,
-                    meeting_point=(B_CRITICAL, rec.C))
+                    meeting_point=(B_CRITICAL, C_star))
 
 
 # ---------------------------------------------------------------------------

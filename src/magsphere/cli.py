@@ -68,8 +68,8 @@ class GridSpec:
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ConfigError(f"bad grid spec {text!r}: {exc}") from exc
-        if n < 2 or hi <= lo:
-            raise ConfigError(f"grid spec {text!r} needs hi > lo and n >= 2")
+        if n < 2 or not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ConfigError(f"grid spec {text!r} needs finite ends, hi > lo and n >= 2")
         return GridSpec(lo, hi, n)
 
     def __str__(self) -> str:

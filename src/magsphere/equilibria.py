@@ -135,26 +135,22 @@ def _record(family, m2, m3, q, params, H, C, residual, degenerate) -> Equilibriu
 class ClosedForms(NamedTuple):
     """One closed-form family over broadcast (q, B) arrays of shape S.
 
-    m2, m3, H, C and residual have shape (2,) + S: row 0 is the + member,
-    row 1 the - member.  `count` (shape S) is how many members exist: 2, or
-    1 on the isosceles threshold (row 0 only, a double root), or 0 below it.
-    Rows of members that do not exist hold NaN.
+    m2 and m3 have shape (2,) + S: row 0 is the + member, row 1 the -
+    member.  `count` (shape S) is how many members exist: 2, or 1 on the
+    isosceles threshold (row 0 only, a double root), or 0 below it.  Rows of
+    members that do not exist hold NaN.
     """
 
     m2: np.ndarray
     m3: np.ndarray
-    H: np.ndarray
-    C: np.ndarray
-    residual: np.ndarray
     count: np.ndarray
 
 
-def _closed_forms(m2, m3, q, B, count) -> ClosedForms:
-    q2 = np.broadcast_to(q, m2.shape)
-    x = np.stack([np.zeros_like(m2), m2, m3, q2, np.zeros_like(m2)])
-    params = identical_params(B)
-    H, C, res = equilibrium_values(x, params, cot_potential(params))
-    return ClosedForms(m2, m3, H, C, res, count)
+def equilibrium_states(m2, m3, q) -> np.ndarray:
+    """The states (0, m2, m3, q, 0) of arrays m2 and m3 with q broadcast to
+    their shape S: shape (5,) + S."""
+    zero = np.zeros_like(m2)
+    return np.stack([zero, m2, m3, np.broadcast_to(q, np.shape(m2)), zero])
 
 
 def type2_threshold(q: float) -> float:
@@ -175,7 +171,7 @@ def type1_arrays(q, B) -> ClosedForms:
     denom = np.sin(h) - np.sin(3 * h)
     m2 = (2 * B * np.sin(h) ** 3 * s + sign * np.cos(h) ** 1.5 * c * root) / denom
     m3 = 0.5 * (B * s * tan - sign * np.sqrt(np.cos(h)) * root)
-    return _closed_forms(m2, m3, q, B, np.full(q.shape, 2))
+    return ClosedForms(m2, m3, np.full(q.shape, 2))
 
 
 def type2_arrays(q, B, tol: Tolerances = DEFAULT_TOL) -> ClosedForms:
@@ -191,7 +187,7 @@ def type2_arrays(q, B, tol: Tolerances = DEFAULT_TOL) -> ClosedForms:
     exists = np.arange(2).reshape(sign.shape) < count
     m2 = np.where(exists, -2 * np.sin(h) ** 4 / np.sin(q) * (B + sign * root), np.nan)
     m3 = np.where(exists, np.sin(h) ** 2 * (B + sign * root), np.nan)
-    return _closed_forms(m2, m3, q, B, count)
+    return ClosedForms(m2, m3, count)
 
 
 @dataclass(frozen=True)
@@ -213,8 +209,7 @@ class GridEquilibria:
 
     def states(self) -> np.ndarray:
         """The entries' reduced states, shape (5, entries)."""
-        zero = np.zeros_like(self.q)
-        return np.stack([zero, self.m2, self.m3, self.q, zero])
+        return equilibrium_states(self.m2, self.m3, self.q)
 
     def take(self, keep) -> "GridEquilibria":
         """The entries picked by an index array or boolean mask."""
@@ -235,28 +230,21 @@ class GridEquilibria:
 
 def _entries(q, B, parts, families) -> GridEquilibria:
     """The grid entries of closed-form kernel results `parts` over the cells
-    (q, B), 1-d arrays; `families` names the two rows of each part in turn."""
-    empty = np.empty((0, q.size))
+    (q, B), 1-d arrays; `families` names the two rows of each part in turn.
+    H, C and the residual are taken once, on the entries that exist."""
 
     def by_cell(rows):
         """The parts' (2, cells) arrays stacked part after part, cells first."""
-        return np.concatenate(rows or [empty]).T
+        return np.concatenate(rows).T
 
     cell, row = np.nonzero(by_cell([np.arange(2)[:, None] < f.count for f in parts]))
-    pick = lambda name: by_cell([getattr(f, name) for f in parts])[cell, row]
+    m2, m3 = (by_cell([getattr(f, name) for f in parts])[cell, row] for name in ("m2", "m3"))
     degenerate = by_cell([np.broadcast_to(f.count == 1, f.m2.shape) for f in parts])
-    return GridEquilibria(
-        cell=cell,
-        family=np.array(families, dtype=object)[row],
-        q=q[cell],
-        B=B[cell],
-        m2=pick("m2"),
-        m3=pick("m3"),
-        H=pick("H"),
-        C=pick("C"),
-        residual=pick("residual"),
-        degenerate=degenerate[cell, row],
-    )
+    q, B = q[cell], B[cell]
+    params = identical_params(B)
+    values = equilibrium_values(equilibrium_states(m2, m3, q), params, cot_potential(params))
+    return GridEquilibria(cell, np.array(families, dtype=object)[row], q, B, m2, m3, *values,
+                          degenerate[cell, row])
 
 
 def _one_cell(kernel, families, q: float, B: float, *args) -> List[EquilibriumRecord]:
@@ -289,9 +277,12 @@ def closed_form_grid(
     """The closed-form records of every cell of q_axis x B_axis, from one
     kernel call per family.  `families` is one of GRID_FAMILIES: "both",
     "type1" or "type2"; any other value raises ValueError.  Type I is left
-    out within TYPE1_BAND of q = pi/2."""
+    out within TYPE1_BAND of q = pi/2.  A q_axis that leaves the guarded
+    interval (or holds NaN) raises DomainError before anything is computed."""
     if families not in GRID_FAMILIES:
         raise ValueError(f"families must be one of {GRID_FAMILIES}, got {families!r}")
+    check_q(np.min(q_axis))
+    check_q(np.max(q_axis))
     q, B = (a.ravel() for a in np.meshgrid(q_axis, B_axis, indexing="ij"))
     fams, parts = (), []
     if families != "type2":

@@ -91,6 +91,35 @@ def test_energy_casimir_below_critical_has_no_type2():
     assert {b.tag for b in d.branches} == {"TypeI_acute", "TypeI_obtuse"}
 
 
+def _bits(*values) -> tuple:
+    return tuple(float(v).hex() for v in values)
+
+
+@pytest.mark.parametrize("B", [2.5, 5.0])
+def test_diagram_values_equal_the_closed_form_records(B):
+    """Each `ec` branch point is the (C, H) of the type1/type2 record of its
+    row at its q, and each `bc` trace's C_plus/C_minus is the C of the type2
+    records, with C_minus = C_plus where there is one record, and the
+    meeting point's C is that of the one type2 record there, bit for bit."""
+    rows = {"TypeI_acute": (type1, 0), "TypeI_obtuse": (type1, 0),
+            "TypeII_plus": (type2, 0), "TypeII_minus": (type2, 1)}
+    points = 0
+    for b in atlas.energy_casimir_diagram(B).branches:
+        source, row = rows[b.tag]
+        for q, C, H in zip(b.q.tolist(), b.C.tolist(), b.H.tolist()):
+            rec = source(q, B)[row]
+            assert _bits(C, H) == _bits(rec.C, rec.H), (b.tag, q)
+            points += 1
+    assert points == 798
+    region = atlas.bc_region(np.array([B]))
+    (trace,) = region.traces
+    for q, C_plus, C_minus in zip(*(trace[k].tolist() for k in ("q", "C_plus", "C_minus"))):
+        recs = type2(q, B)
+        assert _bits(C_plus, C_minus) == _bits(recs[0].C, recs[-1].C), q
+    (star,) = type2(atlas.Q_CRITICAL, atlas.B_CRITICAL)
+    assert _bits(*region.meeting_point) == _bits(atlas.B_CRITICAL, star.C)
+
+
 def test_halfplane_witness_monotone():
     H = atlas.image_halfplane_witness(3.0, 2.5)
     qs = np.linspace(0.01, np.pi - 0.01, 1000)

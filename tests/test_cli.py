@@ -16,9 +16,12 @@ def test_grid_spec_parsing():
     g = GridSpec.parse("0.5:2.5:5")
     assert np.allclose(g.axis(), np.linspace(0.5, 2.5, 5))
     assert GridSpec.parse(str(g)) == g
-    for bad in ("1:2", "2:1:5", "a:b:c", "1:2:1"):
+    # non-finite ends: nan:1:3 used to give the axis [nan, nan, 1]
+    for bad in ("1:2", "2:1:5", "a:b:c", "1:2:1", "nan:1:3", "0.5:nan:3", "nan:nan:3",
+                "-inf:1:3", "0.5:inf:3", "-inf:inf:3"):
         with pytest.raises(ConfigError):
             GridSpec.parse(bad)
+    assert main(["atlas", "--diagram", "threshold", "--grid-q", "nan:1:3"]) == 1
 
 
 def test_run_config_round_trip():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -186,26 +187,39 @@ def test_record_serialization():
 
 
 def test_scalar_closed_forms_equal_the_array_kernels():
-    """The scalar records are the kernels' values on a one-cell array, bit
-    for bit, so a grid and a scalar call agree at the residual cut."""
+    """The scalar records are the kernels' m2, m3 and count on a one-cell
+    array, and the closed_form_grid entries of the same cell in H, C,
+    residual and degenerate, bit for bit, so a grid and a scalar call agree
+    at the residual cut."""
     qs = np.linspace(0.1, np.pi - 0.1, 31)
     qs = qs[np.abs(qs - np.pi / 2) > 1e-3]
-    q, B = (a.ravel() for a in np.meshgrid(qs, np.linspace(0.2, 9.0, 23), indexing="ij"))
+    Bs = np.linspace(0.2, 9.0, 23)
     # points on the isosceles threshold (count 1) and just below it (count 0)
-    q = np.concatenate([q, qs, qs])
-    B = np.concatenate([B, [type2_threshold(x) for x in qs], [0.9 * type2_threshold(x) for x in qs]])
+    t = np.array([type2_threshold(x) for x in qs])
+    B_axis = np.concatenate([Bs, t, 0.9 * t])
+    iq, iB = (a.ravel() for a in np.meshgrid(np.arange(len(qs)), np.arange(len(Bs)), indexing="ij"))
+    iq = np.concatenate([iq, np.arange(len(qs)), np.arange(len(qs))])
+    iB = np.concatenate([iB, len(Bs) + np.arange(len(qs)), len(Bs) + len(qs) + np.arange(len(qs))])
+    q, B = qs[iq], B_axis[iB]
     one, two = type1_arrays(q, B), type2_arrays(q, B)
     assert np.sum(two.count[-2 * len(qs):-len(qs)] == 1) > len(qs) // 2
     assert set(two.count[-len(qs):]) == {0}
+    grid = closed_form_grid(qs, B_axis)
+    entries = {}
+    for cell, rec in zip(grid.cell.tolist(), grid.records()):
+        entries.setdefault(cell, []).append(rec)
     for i in range(len(q)):
-        for forms, recs in ((one, type1(q[i], B[i])), (two, type2(q[i], B[i]))):
-            assert len(recs) == forms.count[i]
-            for row, rec in enumerate(recs):
-                got = (rec.state.m2, rec.state.m3, rec.H, rec.C, rec.residual)
-                want = tuple(float(getattr(forms, k)[row, i]) for k in ("m2", "m3", "H", "C", "residual"))
-                assert got == want, (q[i], B[i], rec.family)
-                assert rec.degenerate == (forms.count[i] == 1)
+        recs = [*type1(q[i], B[i]), *type2(q[i], B[i])]
+        assert len(recs) == 2 + two.count[i]
+        cell = entries[iq[i] * len(B_axis) + iB[i]]
+        assert len(cell) == len(recs)
+        for k, rec in enumerate(recs):
+            forms, row = (one, k) if k < 2 else (two, k - 2)
+            assert (rec.state.m2, rec.state.m3) == (forms.m2[row, i], forms.m3[row, i])
+            assert rec.degenerate == (forms.count[i] == 1)
+            assert rec == cell[k], (q[i], B[i], rec.family)
         assert np.all(np.isnan(two.m2[two.count[i]:, i]))
+        assert np.all(np.isnan(two.m3[two.count[i]:, i]))
 
 
 def test_closed_form_grid_rejects_an_unknown_family():
@@ -452,6 +466,30 @@ def test_solve_general_checks_q_before_it_computes(tmp_path, capsys, q):
                      "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("DomainError: q=")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("q", [0.0, np.nan, 1e-9, -1.0, np.pi])
+def test_closed_form_grid_checks_q_before_it_computes(tmp_path, capsys, q):
+    """The closed-form path checks q as the general one does: a q axis whose
+    min or max leaves [Q_EDGE, pi - Q_EDGE], or that holds NaN, is a
+    DomainError before any kernel runs, and `magsphere equilibria` and
+    `magsphere stability` exit 2 on it.  They used to write `[]` (or drop the
+    cell) and exit 0, with RuntimeWarnings at q = 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for axis in ([q], [1.0, q], [q, 2.0, 2.5]):
+            with pytest.raises(DomainError, match="outside guarded interval"):
+                closed_form_grid(axis, [2.5])
+        out = tmp_path / "r.json"
+        assert cli.main(["equilibria", "--B", "2.5", "--q", repr(q), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("DomainError: q=")
+        assert not out.exists()
+    if np.isfinite(q):
+        grid_q = f"{q!r}:3:4" if q < 3 else f"1:{q!r}:4"
+        assert cli.main(["stability", f"--grid-q={grid_q}", "--grid-B", "1:2:2",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("DomainError: q=")
+        assert not out.exists()
 
 
 def _kept(fn, exc) -> bool:

@@ -77,7 +77,7 @@ def test_numpy_only_ci_job_runs(tmp_path):
     steps = workflow["jobs"]["numpy-only"]["steps"]
     lines = [line for step in steps if "magsphere " in step.get("run", "")
              for line in step["run"].splitlines()]
-    assert sum(line.startswith("magsphere ") for line in lines) == 4
+    assert sum(line.startswith("magsphere ") for line in lines) == 6
     code = f"""
 import shlex, sys
 sys.modules["scipy"] = sys.modules["sympy"] = None     # importing either now raises
