@@ -18,6 +18,7 @@ from .core import (
     DEFAULT_TOL,
     DomainError,
     Tolerances,
+    check_q,
     cot_potential,
     csv_text,
     identical_params,
@@ -93,8 +94,12 @@ class ThresholdCurve:
 
 
 def threshold_curve(q_samples: Iterable[float]) -> ThresholdCurve:
-    """Existence threshold of the isosceles family, with its minimum point."""
-    pts = [(float(q), type2_threshold(q)) for q in q_samples]
+    """Existence threshold of the isosceles family, with its minimum point.
+    Raises DomainError if a sample lies outside the guarded q interval."""
+    qs = list(q_samples)
+    for q in qs:
+        check_q(q)
+    pts = [(float(q), type2_threshold(q)) for q in qs]
     return ThresholdCurve(points=pts, minimum=(Q_CRITICAL, B_CRITICAL))
 
 

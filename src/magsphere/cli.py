@@ -30,6 +30,7 @@ from .core import (
     ReducedState,
     SystemParams,
     Tolerances,
+    check_q,
     cot_potential,
     table_potential,
 )
@@ -268,6 +269,8 @@ def cmd_atlas(config: RunConfig) -> int:
         md["min_q"], md["min_B"] = curve.minimum
     elif config.diagram == "type1-stability":
         qs = config.grid_q.axis() if config.grid_q else np.linspace(0.05, np.pi / 2 - 0.01, 200)
+        for q in qs:
+            check_q(q)
         columns, rows = ("q", "B"), [(q, type1_boundary(q)) for q in qs]
     elif config.diagram == "ec":
         columns, rows = atlas.EC_COLUMNS, atlas.energy_casimir_diagram(config.B).rows()

@@ -165,6 +165,33 @@ def mathlib(x):
     return math if isinstance(x, float) else np
 
 
+_RK4_STEPS: dict = {}     # (state length, projected) -> step, built on first use
+
+
+def _rk4_step(n: int, projected: bool):
+    """`step(f, project, x, half, dt, sixth)`: one RK4 step on n-tuples, with
+    each stage input and the new state written out as one tuple expression
+    (a generator over zip costs three to four times as much), in the order
+    of x + h k and x + sixth (k1 + 2 k2 + 2 k3 + k4).  `project` maps each
+    of them when `projected` and is not called otherwise."""
+    if (n, projected) not in _RK4_STEPS:
+        x, k1, k2, k3, k4 = ([f"{v}{i}" for i in range(n)] for v in "xabcd")
+        tup = ("project(({},))" if projected else "({},)").format
+        stage = lambda h, k: tup(", ".join(f"{a} + {h} * {b}" for a, b in zip(x, k)))
+        end = tup(", ".join(f"{a} + sixth * ({b} + 2 * {c} + 2 * {d} + {e})"
+                            for a, b, c, d, e in zip(x, k1, k2, k3, k4)))
+        namespace: dict = {}
+        exec(f"def step(f, project, x, half, dt, sixth):\n"
+             f"    {', '.join(x)}, = x\n"
+             f"    {', '.join(k1)}, = f(x)\n"
+             f"    {', '.join(k2)}, = f({stage('half', k1)})\n"
+             f"    {', '.join(k3)}, = f({stage('half', k2)})\n"
+             f"    {', '.join(k4)}, = f({stage('dt', k3)})\n"
+             f"    return {end}\n", namespace)
+        _RK4_STEPS[n, projected] = namespace["step"]
+    return _RK4_STEPS[n, projected]
+
+
 def rk4(f, x0, dt: float, n_steps: int, project=None, guard=None) -> np.ndarray:
     """Classical fixed-step RK4 for x' = f(x) from one state x0, carried as
     a tuple of floats that f and `project` take and return; returns the
@@ -177,17 +204,12 @@ def rk4(f, x0, dt: float, n_steps: int, project=None, guard=None) -> np.ndarray:
     """
     x = tuple(np.asarray(x0, dtype=float).tolist())
     states = array("d", x)              # 8 bytes a component, no float objects kept
-    project = project or (lambda x: x)
+    step = _rk4_step(len(x), project is not None)
     half = 0.5 * dt
     sixth = dt / 6.0
     for i in range(1, n_steps + 1):
         try:
-            k1 = f(x)
-            k2 = f(project(tuple(a + half * b for a, b in zip(x, k1))))
-            k3 = f(project(tuple(a + half * b for a, b in zip(x, k2))))
-            k4 = f(project(tuple(a + dt * b for a, b in zip(x, k3))))
-            k = zip(x, k1, k2, k3, k4)
-            x = project(tuple(a + sixth * (b + 2 * c + 2 * d + e) for a, b, c, d, e in k))
+            x = step(f, project, x, half, dt, sixth)
         except (ArithmeticError, ValueError) as exc:
             # float arithmetic raises (x / 0, math.sin(inf)) where numpy gives inf or nan
             raise NonFiniteState(f"non-finite state at t={i * dt}") from exc

@@ -249,6 +249,7 @@ def _entries(q, B, parts, families) -> GridEquilibria:
 
 def _one_cell(kernel, families, q: float, B: float, *args) -> List[EquilibriumRecord]:
     """The records of a closed-form kernel on the one cell (q, B), in row order."""
+    check_q(q)                  # a DomainError (NaN too) before any kernel runs
     q, B = np.array([q], dtype=float), np.array([B], dtype=float)
     return _entries(q, B, [kernel(q, B, *args)], families).records()
 

@@ -130,23 +130,24 @@ def full_rhs(y, params: SystemParams, V: Potential):
     )
 
 
-def _project(y):
-    """Renormalize positions and remove normal momentum components.
+def _on_sphere(y):
+    """One particle y = (x, p), six floats or arrays: x scaled onto the unit
+    sphere, then the component of p along it removed; returns a tuple."""
+    qx, qy, qz, px, py, pz = y
+    r2 = qx * qx + qy * qy + qz * qz
+    r = mathlib(r2).sqrt(r2)
+    qx, qy, qz = qx / r, qy / r, qz / r
+    d = px * qx + py * qy + pz * qz
+    return qx, qy, qz, px - d * qx, py - d * qy, pz - d * qz
 
-    y holds the positions of k particles followed by their momenta: 6k
-    components, floats or arrays; returns them as a tuple."""
-    n = len(y) // 2
-    q, p = [], []
-    for i in range(0, n, 3):
-        qx, qy, qz = y[i : i + 3]
-        px, py, pz = y[n + i : n + i + 3]
-        r2 = qx * qx + qy * qy + qz * qz
-        r = mathlib(r2).sqrt(r2)
-        qx, qy, qz = qx / r, qy / r, qz / r
-        d = px * qx + py * qy + pz * qz
-        q += qx, qy, qz
-        p += px - d * qx, py - d * qy, pz - d * qz
-    return (*q, *p)
+
+def _project(y):
+    """`_on_sphere` for both particles of a full state y = (q1, q2, p1, p2),
+    12 floats or arrays; returns a tuple."""
+    q1x, q1y, q1z, q2x, q2y, q2z, p1x, p1y, p1z, p2x, p2y, p2z = y
+    q1x, q1y, q1z, p1x, p1y, p1z = _on_sphere((q1x, q1y, q1z, p1x, p1y, p1z))
+    q2x, q2y, q2z, p2x, p2y, p2z = _on_sphere((q2x, q2y, q2z, p2x, p2y, p2z))
+    return q1x, q1y, q1z, q2x, q2y, q2z, p1x, p1y, p1z, p2x, p2y, p2z
 
 
 @dataclass(frozen=True)
@@ -287,7 +288,7 @@ def one_particle_integrate(x0, v0, mu: float, e: float, B: float, t_end: float, 
     Raises DomainError unless t_end is a whole number of steps dt."""
     n_steps = step_count(t_end, dt)
     y0 = np.concatenate([np.asarray(x0, dtype=float), mu * np.asarray(v0, dtype=float)])
-    states = rk4(lambda y: one_particle_rhs(y, mu, e, B), _project(y0), dt, n_steps, _project)
+    states = rk4(lambda y: one_particle_rhs(y, mu, e, B), _on_sphere(y0), dt, n_steps, _on_sphere)
     return np.arange(n_steps + 1) * dt, states
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from magsphere.core import cot_potential, identical_params
+from magsphere.equilibria import type2
 
 
 @pytest.fixture
@@ -26,6 +27,18 @@ def random_states(rng, n, q_range=(0.3, 2.8), scale=1.0):
     out = np.empty((n, 5))
     out[:, [0, 1, 2, 4]] = rng.uniform(-scale, scale, (n, 4))
     out[:, 3] = rng.uniform(*q_range, n)
+    return out
+
+
+def orbit_states(rng, n):
+    """n small perturbations of isosceles equilibria at B = 2.5, q in
+    [1.6, 2.0]: the starting states of criterion 07 and the `orbits`
+    benchmark, as (5,) arrays."""
+    out = []
+    for _ in range(n):
+        x = type2(rng.uniform(1.6, 2.0), 2.5)[0].state.as_array()
+        x += rng.uniform(-0.05, 0.05, 5)
+        out.append(x)
     return out
 
 

@@ -208,6 +208,18 @@ def test_atlas_type1_stability(tmp_path):
         assert B == pytest.approx(type1_boundary(q))
 
 
+@pytest.mark.parametrize("argv", [
+    ["--diagram", "threshold", "--grid-q", "0:3:4"],
+    ["--diagram", "type1-stability", "--grid-q", "0:1.5:3"],
+], ids=["threshold", "type1-stability"])
+def test_atlas_curves_reject_q_outside_the_guard(capsys, argv):
+    """A q axis that leaves the guarded interval exits 2 with a DomainError
+    and writes no row (it was the row 0,inf)."""
+    assert main(["atlas", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("DomainError: q=0.0 outside guarded interval")
+
+
 def test_atlas_ec_cusp_rows(tmp_path):
     out = tmp_path / "ec.csv"
     assert main(["atlas", "--diagram", "ec", "--B", "2.5", "--out", str(out)]) == 0

@@ -55,6 +55,17 @@ def test_type1_rejects_right_angle():
         type1(np.pi / 2, 1.0)
 
 
+@pytest.mark.parametrize("closed_form", [type1, type2])
+@pytest.mark.parametrize("q", [0.0, np.pi - 1e-14, np.nan], ids=["zero", "near_pi", "nan"])
+def test_scalar_closed_forms_check_q_first(closed_form, q):
+    """A q outside the guarded interval (NaN too) is a DomainError before
+    any kernel runs, so nothing warns on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="outside guarded interval"):
+            closed_form(q, 2.5)
+
+
 def test_type2_counting_and_threshold():
     q = 2.0
     Bc = type2_threshold(q)

@@ -29,6 +29,9 @@ from magsphere.fullspace import (
 )
 from magsphere.reduced import casimir, integrate
 
+import reference
+from conftest import orbit_states
+
 GENERAL = SystemParams(1.3, 0.7, 1.0, -2.0, 0.9)
 
 
@@ -207,6 +210,35 @@ def test_componentwise_kernels_match_cross_product_formulas(rng, p):
         assert _rel(geodesic_distance(y[0:3], y[3:6]), _ref_geodesic_distance(y[0:3], y[3:6])) < 1e-14
         phi = momentum_map(FullState.from_array(y), p)
         assert _rel(phi, _ref_momentum_map(y, p)) < 1e-14
+
+
+def test_full_integrate_equals_reference_rk4(rng):
+    """`full_integrate` gives the states of the reference RK4 loop under
+    the reference projection, bit for bit, from lifted `orbits` states;
+    `_project` alone gives that projection's floats on states off the sphere."""
+    p = identical_params(2.5)
+    V = cot_potential(p)
+    for x in orbit_states(rng, 3):
+        y0 = lift_state(ReducedState.from_array(x), p).as_array()
+        full = full_integrate(FullState.from_array(y0), p, V, t_end=0.1, dt=1e-3)
+        want = reference.rk4(lambda y: full_rhs(y, p, V), y0, 1e-3, 100, reference.project)
+        assert np.array_equal(full.states, want)
+    raw = _random_full_states(rng, 20) + rng.normal(scale=0.3, size=(12, 20))
+    for y in raw.T.tolist():
+        assert _project(y) == reference.project(y)
+
+
+def test_one_particle_integrate_equals_reference_rk4(rng):
+    """`one_particle_integrate` gives the reference RK4 loop's states under
+    the reference projection, bit for bit, from points off the sphere."""
+    for _ in range(3):
+        mu, e, B = rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.5, 4.0)
+        x0, v0 = rng.normal(size=3), rng.normal(size=3)
+        _, states = one_particle_integrate(x0, v0, mu, e, B, t_end=0.5, dt=1e-3)
+        y0 = reference.project(np.concatenate([x0, mu * v0]))
+        want = reference.rk4(lambda y: one_particle_rhs(y, mu, e, B), y0, 1e-3, 500,
+                             reference.project)
+        assert np.array_equal(states, want)
 
 
 def test_one_particle_rhs_matches_cross_product_formula(rng):

@@ -17,6 +17,7 @@ from magsphere.core import (
 from magsphere.equilibria import closed_form_grid
 from magsphere.fullspace import full_integrate, lift_state
 from magsphere.reduced import (
+    _casimir_projection,
     casimir_array,
     grad_casimir,
     grad_hamiltonian,
@@ -28,7 +29,8 @@ from magsphere.reduced import (
 )
 from magsphere.stability import stability_csv, stability_rows, type1_boundary
 
-from conftest import per_value_csv, random_states
+import reference
+from conftest import orbit_states, per_value_csv, random_states
 
 GENERAL = SystemParams(1.3, 0.7, 1.0, -2.0, 0.9)
 
@@ -174,6 +176,18 @@ def test_integrate_equals_plain_rk4_loop(rng, p):
         assert np.array_equal(traj.energy, energy)
         assert np.array_equal(traj.casimir, cas)
         assert np.array_equal(traj.times, np.array([i * 1e-3 for i in range(501)]))
+
+
+def test_projected_integrate_equals_reference_rk4(rng, params, V):
+    """With `project_casimir`, `integrate` gives the states of the reference
+    RK4 loop under the same projection, bit for bit."""
+    for x in orbit_states(rng, 3):
+        traj = integrate(ReducedState.from_array(x), params, V, t_end=1.0, dt=1e-3,
+                         project_casimir=True)
+        c0 = casimir_array(x, params)
+        want = reference.rk4(lambda y: rhs(y, params, V), x, 1e-3, 1000,
+                             lambda y: _casimir_projection(y, params, c0))
+        assert np.array_equal(traj.states, want)
 
 
 def _written_table(writer, params, V):
