@@ -30,8 +30,9 @@ from .core import (
     check_q,
     cot_potential,
     identical_params,
+    mathlib,
 )
-from .reduced import casimir_array, hamiltonian_array, rhs
+from .reduced import casimir_array, hamiltonian_array, max_norm, rhs
 
 RIGHT_ANGLE_BAND = 1e-6
 TYPE1_BAND = 1e-4        # grid sweeps skip the side-by-side family this close to pi/2
@@ -90,15 +91,17 @@ class RightAngleFamily:
 
 
 def equilibrium_values(x, params: SystemParams, V: Potential):
-    """H, C and the residual max|rhs| of a state x of shape (5,) or (5, ...)."""
-    residual = np.max(np.abs(rhs(x, params, V)), axis=0)
+    """H, C and the residual max|rhs| of one state x, a tuple of five floats
+    (then all three are floats), or of states x of shape (5, ...)."""
+    f = rhs(x, params, V)
+    residual = max_norm(f) if isinstance(x, tuple) else np.max(np.abs(f), axis=0)
     return hamiltonian_array(x, params, V), casimir_array(x, params), residual
 
 
 def passes_residual_cut(residual, tol: Tolerances = DEFAULT_TOL):
     """The record residual cut on one residual or an array: kept iff below
     tol.record_residual, so a residual at the cut or NaN is dropped."""
-    return np.asarray(residual) < tol.record_residual
+    return residual < tol.record_residual
 
 
 def make_record(
@@ -154,7 +157,9 @@ def equilibrium_states(m2, m3, q) -> np.ndarray:
 
 
 def type2_threshold(q: float) -> float:
-    """Field strength above which the isosceles family exists at distance q."""
+    """Field strength above which the isosceles family exists at distance q.
+    A q outside the guarded interval, or NaN, is a DomainError."""
+    check_q(q)
     return 2.0 * np.sqrt(1.0 / (np.sin(q) * (1.0 - np.cos(q))))
 
 
@@ -312,15 +317,16 @@ def casimir_on_type1(q: float, B: float) -> float:
 def quartic_coefficients(q: float, params: SystemParams, V: Potential) -> np.ndarray:
     """Descending coefficients of the squared equilibrium condition in m3."""
     mu1, mu2, e1, e2, B = params.mu1, params.mu2, params.e1, params.e2, params.B
-    s, c = np.sin(q), np.cos(q)
+    m = mathlib(q)
+    s, c = m.sin(q), m.cos(q)
     csc = 1.0 / s
     sec = 1.0 / c
     dV = V.derivative(q)
     c4 = -4 * mu1 * csc**4
-    c3 = 4 * B * csc**4 * (e1 * mu2 - e2 * mu1 * np.cos(2 * q) * sec)
+    c3 = 4 * B * csc**4 * (e1 * mu2 - e2 * mu1 * m.cos(2 * q) * sec)
     c2 = 2 * csc**3 * sec * (
         2 * B**2 * e2 * s * (e2 * mu1 * c - e1 * mu2)
-        - 2 * mu2 * dV * (mu2 + mu1 * np.cos(2 * q))
+        - 2 * mu2 * dV * (mu2 + mu1 * m.cos(2 * q))
     )
     c1 = 4 * B * mu2 * csc * dV * (2 * e2 * mu1 - e1 * mu2 * sec)
     c0 = 4 * mu1 * mu2**2 * dV**2
@@ -330,7 +336,8 @@ def quartic_coefficients(q: float, params: SystemParams, V: Potential) -> np.nda
 def admissibility(m3: float, q: float, params: SystemParams) -> float:
     """Radicand A of the branch square root; candidates need A >= 0."""
     mu1, mu2, e1, e2, B = params.mu1, params.mu2, params.e1, params.e2, params.B
-    s, c = np.sin(q), np.cos(q)
+    m = mathlib(q)
+    s, c = m.sin(q), m.cos(q)
     cot, csc = c / s, 1.0 / s
     return (
         4 * mu2 * m3 * cot * csc * (mu2 * c * (B * e1 + m3) - B * e2 * mu1)
@@ -338,24 +345,25 @@ def admissibility(m3: float, q: float, params: SystemParams) -> float:
     )
 
 
-def m2_from_m3(m3: float, sign, q: float, params: SystemParams):
-    """m2 on the branch `sign` (+1 or -1, or an array of them) of m1' = 0."""
+def m2_from_m3(m3: float, q: float, params: SystemParams) -> tuple[float, float]:
+    """m2 on the + and the - sign branch of m1' = 0, at floats m3 and q.
+    The tangent is numpy's: math.tan differs from it in the last bit on
+    about 0.5% of q."""
     mu1, mu2, e1, B = params.mu1, params.mu2, params.e1, params.B
-    s, c = np.sin(q), np.cos(q)
+    m = mathlib(q)
+    s, c = m.sin(q), m.cos(q)
     cot2 = (c / s) ** 2
     csc2 = 1.0 / s**2
-    A = max(admissibility(m3, q, params), 0.0)
-    return (
-        np.tan(q)
-        * (m3 * (mu1 * csc2 + mu2 * cot2 - mu2) - B * e1 * mu2 + sign * np.sqrt(A))
-        / (2 * mu2)
-    )
+    root = m.sqrt(max(admissibility(m3, q, params), 0.0))
+    base = m3 * (mu1 * csc2 + mu2 * cot2 - mu2) - B * e1 * mu2
+    tan = float(np.tan(q))
+    return tan * (base + root) / (2 * mu2), tan * (base - root) / (2 * mu2)
 
 
 def _branch(m3: float, q: float, params: SystemParams, V: Potential) -> float:
     """The m2 of the m2_from_m3 sign branch that the quartic root m3
     satisfies: the one with the smaller (m1', p') residual, + on a tie."""
-    plus, minus = m2_from_m3(m3, np.array([1.0, -1.0]), q, params).tolist()
+    plus, minus = m2_from_m3(m3, q, params)
 
     def miss(m2):
         f = rhs((0.0, m2, m3, q, 0.0), params, V)
@@ -415,16 +423,17 @@ def solve_general(
     NoAdmissibleRoot).
     """
     check_q(q)                  # a DomainError (NaN too) before anything is computed
+    q = float(q)
     if abs(q - np.pi / 2) < RIGHT_ANGLE_BAND:
         raise NearRightAngle("m2 is indeterminate at q = pi/2; use solve_right_angle")
     if V.derivative(q) == 0:
         raise DomainError("equilibrium theory requires V'(q) != 0")
 
     roots = np.roots(quartic_coefficients(q, params, V))
-    scale = max(1.0, np.max(np.abs(roots)))
+    scale = max(1.0, float(np.abs(roots).max()))     # numpy's |z|: Python's differs in the last bit
     found: list[tuple[float, float]] = []
-    for r in roots:
-        m3 = float(r.real)
+    for r in roots.tolist():
+        m3 = r.real
         if abs(r.imag) > 1e-8 * scale or admissibility(m3, q, params) < -1e-12:
             continue
         z = _polish(_branch(m3, q, params, V), m3, q, params, V)
@@ -435,7 +444,7 @@ def solve_general(
             for u, v in found
         )
         if not dup:
-            found.append((float(z[0]), float(z[1])))
+            found.append(z)
     records = [make_record(Family.General, m2, m3, q, params, V) for m2, m3 in found]
     records = [r for r in records if passes_residual_cut(r.residual, tol)]
     if not records:
@@ -489,7 +498,7 @@ def solve_right_angle(
     if degenerate:
         m3_roots = [-b / (2 * a)]
     else:
-        sq = mu2 * np.sqrt(disc)  # b^2 - 4ac = mu2^2 * disc
+        sq = mu2 * math.sqrt(disc)  # b^2 - 4ac = mu2^2 * disc
         m3_roots = [(-b + sq) / (2 * a), (-b - sq) / (2 * a)]
     out = []
     for m3 in m3_roots:

@@ -285,9 +285,12 @@ def one_particle_rhs(y, mu: float, e: float, B: float):
 
 def one_particle_integrate(x0, v0, mu: float, e: float, B: float, t_end: float, dt: float):
     """Free charged particle on the sphere; returns (times, states(n, 6)).
-    Raises DomainError unless t_end is a whole number of steps dt."""
+    Raises DomainError unless t_end is a whole number of steps dt, and
+    before any step if x0 is zero or not finite (it cannot be projected)."""
     n_steps = step_count(t_end, dt)
     y0 = np.concatenate([np.asarray(x0, dtype=float), mu * np.asarray(v0, dtype=float)])
+    if not 0.0 < y0[:3] @ y0[:3] < np.inf:
+        raise DomainError(f"initial position {x0} must be finite and nonzero")
     states = rk4(lambda y: one_particle_rhs(y, mu, e, B), _on_sphere(y0), dt, n_steps, _on_sphere)
     return np.arange(n_steps + 1) * dt, states
 

@@ -8,6 +8,7 @@ identity rhs = sigma . grad(H).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,9 @@ def hamiltonian_array(x, params: SystemParams, V: Potential):
     # squares as products: numpy's scalar ** calls pow(), which can differ
     # from the array square by 1 ulp, and one state must give the same
     # value alone as in a batch
-    s = np.sin(q)
-    cot = np.cos(q) / s
+    m = mathlib(q)
+    s = m.sin(q)
+    cot = m.cos(q) / s
     csc2 = 1.0 / (s * s)
     kinetic = (
         mu2 * ((m1 - p) * (m1 - p) + m2 * m2)
@@ -47,10 +49,29 @@ def hamiltonian_array(x, params: SystemParams, V: Potential):
     return kinetic + p * p / (2 * mu2) + V.value(q)
 
 
-def grad_hamiltonian(x, params: SystemParams, V: Potential):
-    """Analytic gradient of H; the (m, p)-components are the body velocities."""
+def hamiltonian_gradient(x, params: SystemParams, V: Potential):
+    """Analytic gradient of H, five components (floats or arrays), as a
+    tuple; the (m, p)-components are the body velocities."""
     dm1, dm2, dm3, dq, dp = kinetic_gradient(x, params)
-    return np.array([dm1, dm2, dm3, dq + V.derivative(x[3]), dp])
+    return dm1, dm2, dm3, dq + V.derivative(x[3]), dp
+
+
+def grad_hamiltonian(x, params: SystemParams, V: Potential) -> np.ndarray:
+    """`hamiltonian_gradient` as an array of shape (5, ...)."""
+    return np.array(hamiltonian_gradient(x, params, V))
+
+
+def _from_upper(upper: dict, like, antisymmetric: bool = False, dtype=float) -> np.ndarray:
+    """The 5x5 matrices with the entries `upper`, {(i, j): value} for
+    i <= j, their mirror images (negated if `antisymmetric`) and zeros
+    elsewhere, shape np.shape(like) + (5, 5)."""
+    one = isinstance(like, float)
+    D = np.zeros((5, 5) if one else np.shape(like) + (5, 5), dtype=dtype)
+    lead = () if one else (Ellipsis,)      # one 5x5 takes plain indices, at half the cost
+    for (i, j), v in upper.items():
+        D[(*lead, i, j)] = v
+        D[(*lead, j, i)] = -v if antisymmetric else v
+    return D
 
 
 def hessian_hamiltonian(x, params: SystemParams, V: Potential) -> np.ndarray:
@@ -69,10 +90,7 @@ def hessian_hamiltonian(x, params: SystemParams, V: Potential) -> np.ndarray:
         (3, 3): m3 * (mu * m3 * (1 + 2 * c * c) - 2 * mu2 * m2 * s * c) / (k * s2 * s2)
         + V.second(q),
     }
-    D = np.zeros(np.shape(q) + (5, 5))
-    for (i, j), v in upper.items():
-        D[..., i, j] = D[..., j, i] = v
-    return D
+    return _from_upper(upper, q)
 
 
 def _momentum_shift(q, params: SystemParams):
@@ -101,19 +119,18 @@ def casimir_array(x, params: SystemParams):
     return v1 * v1 + v2 * v2 + v3 * v3
 
 
-def grad_casimir(x, params: SystemParams):
+def casimir_gradient(x, params: SystemParams):
+    """Gradient of C, five components (floats or arrays), as a tuple."""
     v1, v2, v3 = shifted_momentum(x, params)
     q = x[3]
     m = mathlib(q)
-    return np.array(
-        [
-            2 * v1,
-            2 * v2,
-            2 * v3,
-            -2 * params.B * params.e2 * (v2 * m.cos(q) + v3 * m.sin(q)),
-            0.0 * v1,
-        ]
-    )
+    return (2 * v1, 2 * v2, 2 * v3,
+            -2 * params.B * params.e2 * (v2 * m.cos(q) + v3 * m.sin(q)), 0.0 * v1)
+
+
+def grad_casimir(x, params: SystemParams) -> np.ndarray:
+    """`casimir_gradient` as an array of shape (5, ...)."""
+    return np.array(casimir_gradient(x, params))
 
 
 def hessian_casimir(x, params: SystemParams) -> np.ndarray:
@@ -124,12 +141,11 @@ def hessian_casimir(x, params: SystemParams) -> np.ndarray:
     b = params.B * params.e2
     m = mathlib(q)
     s, c = m.sin(q), m.cos(q)
-    D = np.zeros(np.shape(m2 * b) + (5, 5))
-    D[..., 0, 0] = D[..., 1, 1] = D[..., 2, 2] = 2.0
-    D[..., 1, 3] = D[..., 3, 1] = -2 * b * c
-    D[..., 2, 3] = D[..., 3, 2] = -2 * b * s
-    D[..., 3, 3] = 2 * b * (m2 * s - (m3 + params.B * params.e1) * c)
-    return D
+    upper = {
+        (0, 0): 2.0, (1, 1): 2.0, (2, 2): 2.0, (1, 3): -2 * b * c, (2, 3): -2 * b * s,
+        (3, 3): 2 * b * (m2 * s - (m3 + params.B * params.e1) * c),
+    }
+    return _from_upper(upper, m2 * b)
 
 
 def poisson_matrix(x, params: SystemParams) -> np.ndarray:
@@ -140,11 +156,8 @@ def poisson_matrix(x, params: SystemParams) -> np.ndarray:
     m = mathlib(q)
     b2 = params.B * params.e2
     upper = (-v3, v2, -v1, b2 * m.cos(q), b2 * m.sin(q), 1.0)
-    sig = np.zeros(np.shape(v3) + (5, 5), dtype=np.result_type(*upper))
-    for (i, j), v in zip(((0, 1), (0, 2), (1, 2), (1, 4), (2, 4), (3, 4)), upper):
-        sig[..., i, j] = v
-        sig[..., j, i] = -v
-    return sig
+    entries = dict(zip(((0, 1), (0, 2), (1, 2), (1, 4), (2, 4), (3, 4)), upper))
+    return _from_upper(entries, v3, True, np.result_type(*upper))
 
 
 def rhs(x, params: SystemParams, V: Potential):
@@ -180,9 +193,16 @@ def rhs(x, params: SystemParams, V: Potential):
     return dm1, dm2, dm3, dq, dp
 
 
+def max_norm(f) -> float:
+    """max |f_i| of floats f; NaN if any f_i is NaN, as np.max gives."""
+    a = [abs(v) for v in f]
+    return math.nan if math.isnan(sum(a)) else max(a)
+
+
 def residual(x, params: SystemParams, V: Potential) -> float:
-    """Max-norm of the reduced vector field; zero at relative equilibria."""
-    return float(np.max(np.abs(rhs(np.asarray(x, dtype=float), params, V))))
+    """Max-norm of the reduced vector field at one state, from one `rhs`
+    call on its five floats; zero at relative equilibria."""
+    return max_norm(rhs(tuple(map(float, x)), params, V))
 
 
 @dataclass(frozen=True)

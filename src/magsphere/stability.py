@@ -8,12 +8,13 @@ signature.  J = sigma M holds only at equilibria of the potential passed in;
 a record's residual is checked under the potential that made it.  Nothing
 here differentiates numerically.  The kernels take a batch of states, or
 one record as a tuple of floats (`linearize`), and one `eigvalsh` gives the
-signature.  The characteristic polynomial at an equilibrium is
+signature.  `linearize` checks the residual under the V it is given.  The characteristic polynomial at an equilibrium is
 x(-x^4 + a x^2 + b); the class is read off (a, b).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -27,12 +28,14 @@ from .core import (
     Potential,
     ResidualTooLarge,
     Tolerances,
+    check_q,
     csv_text,
     identical_params,
 )
 from .equilibria import EquilibriumRecord, GridEquilibria, passes_residual_cut
-from .reduced import (grad_casimir, grad_hamiltonian, hessian_casimir, hessian_hamiltonian,
-                      poisson_matrix, rhs)  # rhs: perfbench's tracer test reads stability.rhs
+from .reduced import (casimir_gradient, hamiltonian_gradient, hessian_casimir,
+                      hessian_hamiltonian, poisson_matrix, residual,
+                      rhs)  # rhs: perfbench's tracer test reads stability.rhs
 
 
 class Classification(Enum):
@@ -105,8 +108,10 @@ def stability_arrays(x, params, V: Potential, tol: Tolerances = DEFAULT_TOL):
 
 
 def _check_residual(residual, tol: Tolerances) -> None:
-    """Raise ResidualTooLarge unless every residual passes the record cut."""
-    if not passes_residual_cut(residual, tol).all():
+    """Raise ResidualTooLarge unless the residual, a float or an array of
+    them, passes the record cut everywhere."""
+    kept = passes_residual_cut(residual, tol)
+    if not (kept if isinstance(kept, bool) else kept.all()):
         raise ResidualTooLarge(f"record residual {np.max(residual)} fails the cut {tol.record_residual}")
 
 
@@ -114,24 +119,51 @@ def energy_casimir_hessian(x, params, V: Potential):
     """M = D2H - lam D2C, lam = grad H . grad C / |grad C|^2, at
     equilibria x of shape (5, ...), with shape (..., 5, 5), and grad C with
     its component axis last.  params.B may be an array broadcasting
-    against x[0]."""
-    gH, gC = grad_hamiltonian(x, params, V), grad_casimir(x, params)
-    last = (*range(1, gC.ndim), 0)         # puts the component axis last
-    gH, gC = gH.transpose(last), gC.transpose(last)
-    lam = (gH * gC).sum(axis=-1) / (gC * gC).sum(axis=-1)
-    return hessian_hamiltonian(x, params, V) - lam[..., None, None] * hessian_casimir(x, params), gC
+    against x[0].  For one state x, a tuple of floats, lam is a float,
+    summed left to right from 0.0 as numpy sums five terms."""
+    gH, gC = hamiltonian_gradient(x, params, V), casimir_gradient(x, params)
+    if isinstance(x, tuple):
+        (h0, h1, h2, h3, h4), (g0, g1, g2, g3, g4) = gH, gC
+        dot = 0.0 + h0 * g0 + h1 * g1 + h2 * g2 + h3 * g3 + h4 * g4
+        norm2 = 0.0 + g0 * g0 + g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4
+        lam = dot / norm2 if norm2 else math.nan         # numpy's 0/0
+        gC = np.array(gC)
+    else:
+        gH, gC = np.array(gH), np.array(gC)
+        last = (*range(1, gC.ndim), 0)                  # puts the component axis last
+        gH, gC = gH.transpose(last), gC.transpose(last)
+        lam = ((gH * gC).sum(axis=-1) / (gC * gC).sum(axis=-1))[..., None, None]
+    return hessian_hamiltonian(x, params, V) - lam * hessian_casimir(x, params), gC
 
 
-def _signatures(M: np.ndarray, gC: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Signatures of the Hessians M restricted to the complements of grad C,
-    shape (..., 3); (0, 0, 4) wherever the restriction is singular.  With
-    n = grad C/|grad C| and P = I - n n^T, the four smallest eigenvalues of
-    P M P + c n n^T, c = 1 + |M|_F > |M|_2, are those of M on n's
-    complement: n is the fifth eigenvector, with eigenvalue c."""
+def _restricted_eigenvalues(M: np.ndarray, gC: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the Hessians M restricted to the complements of
+    grad C, shape (..., 4).  With n = grad C/|grad C| and P = I - n n^T, the
+    four smallest eigenvalues of P M P + c n n^T, c = 1 + |M|_F > |M|_2,
+    are those of M on n's complement: n is the fifth eigenvector, with
+    eigenvalue c."""
     nn = gC[..., :, None] * gC[..., None, :] / (gC * gC).sum(axis=-1)[..., None, None]
     P = np.eye(5) - nn
     c = 1.0 + np.sqrt((M * M).sum(axis=(-2, -1)))
-    w = np.linalg.eigvalsh(P @ M @ P + c[..., None, None] * nn)[..., :4]
+    return np.linalg.eigvalsh(P @ M @ P + c[..., None, None] * nn)[..., :4]
+
+
+def _signature(w, tol: Tolerances) -> tuple[int, int, int]:
+    """`_signatures` of four restricted eigenvalues w, as floats."""
+    w0, w1, w2, w3 = w
+    if abs(w0 * w1 * w2 * w3) < 1e-10:
+        return 0, 0, 4
+    plus = sum(v > tol.eigenvalue for v in w)
+    minus = sum(v < -tol.eigenvalue for v in w)
+    return plus, minus, 4 - plus - minus
+
+
+def _signatures(M: np.ndarray, gC: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Signatures (n_plus, n_minus, n_zero) of the Hessians M restricted to
+    the complements of grad C, shape (..., 3): eigenvalues within
+    tol.eigenvalue of zero count as zero, and (0, 0, 4) marks a singular
+    restriction (eigenvalue product below 1e-10 in magnitude)."""
+    w = _restricted_eigenvalues(M, gC)
     side = np.where(np.abs(w) > tol.eigenvalue, np.sign(w), 0.0)    # +1, -1 or 0
     sig = (side[..., None] == (1.0, -1.0, 0.0)).sum(axis=-2)
     singular = np.abs(w.prod(axis=-1)) < 1e-10
@@ -168,23 +200,28 @@ def linearize(
     V: Potential,
     tol: Tolerances = DEFAULT_TOL,
 ) -> LinearizationReport:
-    """Full linear analysis at a residual-checked equilibrium, from one
-    Hessian M: the Jacobian sigma M and the signature of M.  The record must
-    be an equilibrium under V (see the module docstring)."""
-    _check_residual(record.residual, tol)
-    s = record.state
-    J, sig = _jacobians_and_signatures((s.m1, s.m2, s.m3, s.q, s.p), record.params, V, tol)
+    """Full linear analysis at an equilibrium, from one Hessian M: the
+    Jacobian sigma M and the signature of M.  The record's state must be an
+    equilibrium under V: its residual under V, from one `rhs` call, must
+    pass the record cut (ResidualTooLarge otherwise)."""
+    s, params = record.state, record.params
+    x = (s.m1, s.m2, s.m3, s.q, s.p)
+    _check_residual(residual(x, params, V), tol)
+    M, gC = energy_casimir_hessian(x, params, V)
+    J = poisson_matrix(x, params) @ M
     a, b = char_coefficients(J)
     return LinearizationReport(
         jacobian=J,
         char_coeffs=(a, b),
         classification=classify(a, b, tol.classify),
-        hessian_signature=tuple(sig.tolist()),
+        hessian_signature=_signature(_restricted_eigenvalues(M, gC).tolist(), tol),
     )
 
 
 def type1_boundary(q: float) -> float:
-    """Field strength where the side-by-side family changes stability."""
+    """Field strength where the side-by-side family changes stability.  A q
+    outside the guarded interval, or NaN, is a DomainError."""
+    check_q(q)
     s, c = np.sin(q), np.cos(q)
     rad = c**3 * (2 + c) / (2 * s**3 * np.sin(q / 2) ** 2)
     if rad < 0:

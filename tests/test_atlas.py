@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magsphere import atlas
-from magsphere.core import DomainError, cot_potential, identical_params
+from magsphere.core import Q_EDGE, DomainError, cot_potential, identical_params
 from magsphere.equilibria import type1, type2, type2_threshold
 from magsphere.reduced import casimir_array, rhs
 from magsphere.stability import classify
@@ -36,7 +36,7 @@ def _window_brentq(B):
 
     f = lambda q: type2_threshold(q) - B
     return (brentq(f, 1e-6, atlas.Q_CRITICAL, xtol=1e-14),
-            brentq(f, atlas.Q_CRITICAL, np.pi - 1e-9, xtol=1e-14))
+            brentq(f, atlas.Q_CRITICAL, np.pi - Q_EDGE, xtol=1e-14))
 
 
 def _assert_window(B, ends, tol):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from magsphere import atlas, cli, equilibria
+from magsphere import atlas, cli, equilibria, stability
 from magsphere.core import (
     DEFAULT_TOL,
     DomainError,
@@ -22,7 +22,6 @@ from magsphere.equilibria import (
     admissibility,
     casimir_on_type1,
     closed_form_grid,
-    m2_from_m3,
     make_record,
     quartic_coefficients,
     right_angle_discriminant,
@@ -37,7 +36,8 @@ from magsphere.equilibria import (
 from magsphere.reduced import residual, rhs
 from magsphere.stability import hessian_signature, linearize, stability_rows
 
-from reference import derivative_matrix, jacobian_matrix
+import reference
+from reference import derivative_matrix, jacobian_matrix, m2_from_m3
 
 
 def test_type1_records_are_equilibria():
@@ -404,6 +404,42 @@ def test_float_solver_equals_the_array_reference(monkeypatch, case):
     assert got == want
 
 
+def _records_and_reports(systems, table, lin):
+    """repr of the solve_general and solve_right_angle records of each
+    system, and (a, b), class, signature and the bytes of J of `lin` on
+    each record."""
+    out = []
+    for q, params in systems:
+        V = table or cot_potential(params)
+        right = solve_right_angle(params, V)
+        records = solve_general(q, params, V) + (right if isinstance(right, list) else [])
+        out.append(repr(records))
+        for r in records:
+            rep = lin(r, V)
+            out.append((rep.char_coeffs, rep.classification, rep.hessian_signature,
+                        rep.jacobian.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["cot", "table"])
+def test_float_path_equals_the_numpy_scalar_reference(monkeypatch, table):
+    """Criterion 12's draws under cot and under the 256-node table: the
+    records of solve_general and solve_right_angle and the reports of
+    linearize, whose per-record steps run on Python floats, equal byte for
+    byte those of the same steps on numpy scalars and arrays (`reference`)."""
+    systems = _criterion_12_systems()
+    table = _table_cot_plus_linear() if table else None
+    got = _records_and_reports(systems, table, linearize)
+    both_signs = np.array([1.0, -1.0])
+    monkeypatch.setattr(equilibria, "quartic_coefficients", reference.quartic_coefficients)
+    monkeypatch.setattr(equilibria, "admissibility", reference.admissibility)
+    monkeypatch.setattr(equilibria, "m2_from_m3", lambda m3, q, params: tuple(
+        reference.m2_from_m3(m3, both_signs, q, params).tolist()))
+    monkeypatch.setattr(equilibria, "equilibrium_values", reference.equilibrium_values)
+    want = _records_and_reports(systems, table, reference.linearize)
+    assert len(got) > 2000 and got == want
+
+
 @pytest.mark.parametrize("table", [False, True], ids=["cot", "table"])
 def test_general_solver_hands_rhs_python_floats(monkeypatch, table):
     """Every state that _branch, _polish and make_record pass to rhs is a
@@ -554,4 +590,6 @@ def test_every_residual_check_applies_one_cut(monkeypatch, tmp_path, check, resi
         return H, C, np.full(np.shape(res), residual)
 
     monkeypatch.setattr(equilibria, "equilibrium_values", injected)
+    # linearize takes the residual under its V itself
+    monkeypatch.setattr(stability, "residual", lambda x, params, V: residual)
     assert bool(CUT_CHECKS[check](tmp_path)) == (residual < CUT)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -299,3 +301,14 @@ def test_full_integrators_reject_a_partial_step(params, V, t_end, dt):
         full_integrate(full, params, V, t_end=t_end, dt=dt)
     with pytest.raises(DomainError, match="whole number of steps"):
         one_particle_integrate([0, 0, 1], [1, 0, 0], 1.0, 1.0, 2.0, t_end=t_end, dt=dt)
+
+
+@pytest.mark.parametrize("x0", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]],
+                         ids=["zero", "nan", "inf"])
+def test_one_particle_integrate_rejects_a_position_it_cannot_project(x0):
+    """A zero or non-finite initial position is a DomainError before any
+    step, where it used to divide 0/0 and fail as NonFiniteState at t=dt."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="initial position"):
+            one_particle_integrate(x0, [1.0, 0.0, 0.0], 1.0, 1.0, 1.0, 0.01, 1e-3)

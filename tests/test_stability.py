@@ -1,13 +1,17 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from magsphere.core import (
     DEFAULT_TOL,
+    Q_EDGE,
+    DomainError,
     OutsideDomain,
     ResidualTooLarge,
     SystemParams,
+    Tolerances,
     cot_potential,
     identical_params,
     table_potential,
@@ -166,6 +170,35 @@ def test_type1_boundary_domain():
         type1_boundary(2.0)
 
 
+@pytest.mark.parametrize("q", [0.0, np.pi, np.nan], ids=["zero", "pi", "nan"])
+@pytest.mark.parametrize("curve", [type1_boundary, type2_threshold])
+def test_stability_curves_check_q_first(curve, q):
+    """type1_boundary and type2_threshold raise DomainError, with no
+    warning, for q outside the guarded interval or NaN; they used to
+    return inf with a divide-by-zero warning, or NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            curve(q)
+
+
+def test_stability_curves_keep_their_values():
+    """On a dense grid of the guarded interval, each curve gives, bit for
+    bit, its closed form on numpy scalars as it was before it checked q."""
+    def threshold(q):
+        return 2.0 * np.sqrt(1.0 / (np.sin(q) * (1.0 - np.cos(q))))
+
+    def boundary(q):
+        s, c = np.sin(q), np.cos(q)
+        return float(np.sqrt(c**3 * (2 + c) / (2 * s**3 * np.sin(q / 2) ** 2)))
+
+    q = np.linspace(Q_EDGE, np.pi - Q_EDGE, 20001).tolist()
+    with np.errstate(divide="ignore"):          # 1 - cos(Q_EDGE) is 0: inf, as before
+        assert [type2_threshold(v) for v in q] == [threshold(v) for v in q]
+    left = [v for v in q if v < np.pi / 2]
+    assert [type1_boundary(v) for v in left] == [boundary(v) for v in left]
+
+
 def test_type1_boundary_straddle():
     q = 1.0
     Bc = type1_boundary(q)
@@ -221,6 +254,12 @@ def _table_cot():
     return table_potential(nodes, 1 / np.tan(nodes))
 
 
+# The cot records of the grids below have max|rhs| up to 3e-4 under
+# `_table_cot()`, so `linearize` refuses them there at the default cut; the
+# per-record comparisons under the table take this cut instead.
+OFF_TABLE = Tolerances(record_residual=1e-3)
+
+
 @pytest.mark.parametrize("table", [False, True])
 def test_stability_rows_equal_per_record_linearize(table):
     """Batched rows against one linearize call per grid entry, for cot and
@@ -230,8 +269,12 @@ def test_stability_rows_equal_per_record_linearize(table):
     rows = stability_rows(grid, V)
     recs = grid.records()
     assert len(rows) == len(recs) > 8
+    tol = OFF_TABLE if table else DEFAULT_TOL
+    if table:
+        with pytest.raises(ResidualTooLarge):
+            linearize(recs[0], V)
     for r, row in zip(recs, rows):
-        rep = linearize(r, V)
+        rep = linearize(r, V, tol)
         assert (row["q"], row["B"], row["family"]) == (r.state.q, r.params.B, r.family.value)
         assert row["a"] == pytest.approx(rep.char_coeffs[0], rel=1e-9)
         assert row["b"] == pytest.approx(rep.char_coeffs[1], rel=1e-9)
@@ -278,7 +321,7 @@ def test_signature_arrays_equal_per_record_reference(table):
     for i, (sig, rec) in enumerate(zip(map(tuple, sigs.tolist()), grid.records())):
         assert sig == _ref_hessian_signature(rec, V), (rec.family, rec.state.q, rec.params.B)
         if i % 10 == 0:
-            assert hessian_signature(rec, V) == sig
+            assert hessian_signature(rec, V, OFF_TABLE if table else DEFAULT_TOL) == sig
 
 
 def test_signatures_equal_the_svd_reference_on_general_records():
@@ -435,3 +478,19 @@ def test_linearize_equals_the_direct_jacobian_on_general_records(seed):
         ref = _reference_linearize(rec.state.as_array(), rec.params, V)
         bounds = (1e-12, 1e-10) if V.analytic else (1e-7, 1e-6)
         _assert_as_reference(linearize(rec, V), *ref, *bounds)
+
+
+def test_linearize_checks_the_residual_under_its_potential():
+    """linearize takes the record's residual under the V it is handed, from
+    one rhs call: a cot Type II record is refused under a 256-node table of
+    cot, where it is off equilibrium, and accepted under cot."""
+    nodes = np.linspace(0.1, np.pi - 0.1, 256)
+    table = table_potential(nodes, 1 / np.tan(nodes))
+    rec = type2(2.0, 2.5)[0]
+    V = cot_potential(rec.params)
+    assert rec.residual < DEFAULT_TOL.record_residual
+    with pytest.raises(ResidualTooLarge):
+        linearize(rec, table)
+    with pytest.raises(ResidualTooLarge):
+        hessian_signature(rec, table)
+    assert linearize(rec, V).hessian_signature == hessian_signature(rec, V)
