@@ -346,9 +346,8 @@ def admissibility(m3: float, q: float, params: SystemParams) -> float:
 
 
 def m2_from_m3(m3: float, q: float, params: SystemParams) -> tuple[float, float]:
-    """m2 on the + and the - sign branch of m1' = 0, at floats m3 and q.
-    The tangent is numpy's: math.tan differs from it in the last bit on
-    about 0.5% of q."""
+    """m2 on the + and the - sign branch of m1' = 0, at floats m3 and q.  The
+    tangent is numpy's: math.tan differs from it in the last bit on 0.5% of q."""
     mu1, mu2, e1, B = params.mu1, params.mu2, params.e1, params.B
     m = mathlib(q)
     s, c = m.sin(q), m.cos(q)

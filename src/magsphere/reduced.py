@@ -49,28 +49,24 @@ def hamiltonian_array(x, params: SystemParams, V: Potential):
     return kinetic + p * p / (2 * mu2) + V.value(q)
 
 
-def hamiltonian_gradient(x, params: SystemParams, V: Potential):
+def grad_hamiltonian(x, params: SystemParams, V: Potential):
     """Analytic gradient of H, five components (floats or arrays), as a
     tuple; the (m, p)-components are the body velocities."""
     dm1, dm2, dm3, dq, dp = kinetic_gradient(x, params)
     return dm1, dm2, dm3, dq + V.derivative(x[3]), dp
 
 
-def grad_hamiltonian(x, params: SystemParams, V: Potential) -> np.ndarray:
-    """`hamiltonian_gradient` as an array of shape (5, ...)."""
-    return np.array(hamiltonian_gradient(x, params, V))
-
-
-def _from_upper(upper: dict, like, antisymmetric: bool = False, dtype=float) -> np.ndarray:
-    """The 5x5 matrices with the entries `upper`, {(i, j): value} for
-    i <= j, their mirror images (negated if `antisymmetric`) and zeros
-    elsewhere, shape np.shape(like) + (5, 5)."""
-    one = isinstance(like, float)
-    D = np.zeros((5, 5) if one else np.shape(like) + (5, 5), dtype=dtype)
-    lead = () if one else (Ellipsis,)      # one 5x5 takes plain indices, at half the cost
-    for (i, j), v in upper.items():
-        D[(*lead, i, j)] = v
-        D[(*lead, j, i)] = -v if antisymmetric else v
+def _matrix(rows, like) -> np.ndarray:
+    """The 5x5 matrix of `rows`, five rows of five floats, where `like` is a
+    float; else the matrices of shape np.shape(like) + (5, 5) with these
+    entries, floats or arrays, each written into zeros unless it is 0.0."""
+    if isinstance(like, float):
+        return np.array(rows)
+    entries = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row)
+               if not (isinstance(v, float) and v == 0.0)]
+    D = np.zeros(np.shape(like) + (5, 5), dtype=np.result_type(like, 0.0))
+    for i, j, v in entries:
+        D[..., i, j] = v
     return D
 
 
@@ -82,15 +78,12 @@ def hessian_hamiltonian(x, params: SystemParams, V: Potential) -> np.ndarray:
     m = mathlib(q)
     s, c = m.sin(q), m.cos(q)
     s2, k, mu = s * s, mu1 * mu2, mu1 + mu2
-    upper = {
-        (0, 0): 1 / mu1, (1, 1): 1 / mu1, (0, 4): -1 / mu1, (4, 4): mu / k,
-        (1, 2): -c / (mu1 * s), (1, 3): m3 / (mu1 * s2),
-        (2, 2): (mu1 + mu2 * c * c) / (k * s2),
-        (2, 3): (mu2 * m2 * s - 2 * mu * m3 * c) / (k * s2 * s),
-        (3, 3): m3 * (mu * m3 * (1 + 2 * c * c) - 2 * mu2 * m2 * s * c) / (k * s2 * s2)
-        + V.second(q),
-    }
-    return _from_upper(upper, q)
+    a, h12, h13 = 1 / mu1, -c / (mu1 * s), m3 / (mu1 * s2)
+    h22 = (mu1 + mu2 * c * c) / (k * s2)
+    h23 = (mu2 * m2 * s - 2 * mu * m3 * c) / (k * s2 * s)
+    h33 = m3 * (mu * m3 * (1 + 2 * c * c) - 2 * mu2 * m2 * s * c) / (k * s2 * s2) + V.second(q)
+    return _matrix(((a, 0.0, 0.0, 0.0, -a), (0.0, a, h12, h13, 0.0), (0.0, h12, h22, h23, 0.0),
+                    (0.0, h13, h23, h33, 0.0), (-a, 0.0, 0.0, 0.0, mu / k)), q)
 
 
 def _momentum_shift(q, params: SystemParams):
@@ -119,18 +112,13 @@ def casimir_array(x, params: SystemParams):
     return v1 * v1 + v2 * v2 + v3 * v3
 
 
-def casimir_gradient(x, params: SystemParams):
+def grad_casimir(x, params: SystemParams):
     """Gradient of C, five components (floats or arrays), as a tuple."""
     v1, v2, v3 = shifted_momentum(x, params)
     q = x[3]
     m = mathlib(q)
     return (2 * v1, 2 * v2, 2 * v3,
             -2 * params.B * params.e2 * (v2 * m.cos(q) + v3 * m.sin(q)), 0.0 * v1)
-
-
-def grad_casimir(x, params: SystemParams) -> np.ndarray:
-    """`casimir_gradient` as an array of shape (5, ...)."""
-    return np.array(casimir_gradient(x, params))
 
 
 def hessian_casimir(x, params: SystemParams) -> np.ndarray:
@@ -141,11 +129,10 @@ def hessian_casimir(x, params: SystemParams) -> np.ndarray:
     b = params.B * params.e2
     m = mathlib(q)
     s, c = m.sin(q), m.cos(q)
-    upper = {
-        (0, 0): 2.0, (1, 1): 2.0, (2, 2): 2.0, (1, 3): -2 * b * c, (2, 3): -2 * b * s,
-        (3, 3): 2 * b * (m2 * s - (m3 + params.B * params.e1) * c),
-    }
-    return _from_upper(upper, m2 * b)
+    h13, h23 = -2 * b * c, -2 * b * s
+    h33 = 2 * b * (m2 * s - (m3 + params.B * params.e1) * c)
+    return _matrix(((2.0, 0.0, 0.0, 0.0, 0.0), (0.0, 2.0, 0.0, h13, 0.0), (0.0, 0.0, 2.0, h23, 0.0),
+                    (0.0, h13, h23, h33, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0)), m2 * b)
 
 
 def poisson_matrix(x, params: SystemParams) -> np.ndarray:
@@ -155,9 +142,9 @@ def poisson_matrix(x, params: SystemParams) -> np.ndarray:
     q = x[3]
     m = mathlib(q)
     b2 = params.B * params.e2
-    upper = (-v3, v2, -v1, b2 * m.cos(q), b2 * m.sin(q), 1.0)
-    entries = dict(zip(((0, 1), (0, 2), (1, 2), (1, 4), (2, 4), (3, 4)), upper))
-    return _from_upper(entries, v3, True, np.result_type(*upper))
+    c, s = b2 * m.cos(q), b2 * m.sin(q)
+    return _matrix(((0.0, -v3, v2, 0.0, 0.0), (v3, 0.0, -v1, 0.0, c), (-v2, v1, 0.0, 0.0, s),
+                    (0.0, 0.0, 0.0, 0.0, 1.0), (0.0, -c, -s, -1.0, 0.0)), v3)
 
 
 def rhs(x, params: SystemParams, V: Potential):

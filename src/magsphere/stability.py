@@ -4,11 +4,11 @@ At an equilibrium grad H = lam grad C, and M = D2H - lam D2C, both Hessians
 in closed form (`reduced.hessian_hamiltonian`, `reduced.hessian_casimir`),
 gives both answers: the Jacobian of rhs = sigma grad H is J = sigma M, since
 sigma grad C = 0, and M on the Casimir level set gives the energy-Casimir
-signature.  J = sigma M holds only at equilibria of the potential passed in;
-a record's residual is checked under the potential that made it.  Nothing
+signature.  J = sigma M holds only at equilibria of the potential passed in,
+so `linearize` takes a record's residual under that potential.  Nothing
 here differentiates numerically.  The kernels take a batch of states, or
 one record as a tuple of floats (`linearize`), and one `eigvalsh` gives the
-signature.  `linearize` checks the residual under the V it is given.  The characteristic polynomial at an equilibrium is
+signature.  The characteristic polynomial at an equilibrium is
 x(-x^4 + a x^2 + b); the class is read off (a, b).
 """
 
@@ -33,9 +33,8 @@ from .core import (
     identical_params,
 )
 from .equilibria import EquilibriumRecord, GridEquilibria, passes_residual_cut
-from .reduced import (casimir_gradient, hamiltonian_gradient, hessian_casimir,
-                      hessian_hamiltonian, poisson_matrix, residual,
-                      rhs)  # rhs: perfbench's tracer test reads stability.rhs
+from .reduced import (grad_casimir, grad_hamiltonian, hessian_casimir, hessian_hamiltonian,
+                      poisson_matrix, residual, rhs)  # perfbench's tracer test reads stability.rhs
 
 
 class Classification(Enum):
@@ -108,8 +107,7 @@ def stability_arrays(x, params, V: Potential, tol: Tolerances = DEFAULT_TOL):
 
 
 def _check_residual(residual, tol: Tolerances) -> None:
-    """Raise ResidualTooLarge unless the residual, a float or an array of
-    them, passes the record cut everywhere."""
+    """Raise ResidualTooLarge unless the residual (a float or an array) passes the record cut."""
     kept = passes_residual_cut(residual, tol)
     if not (kept if isinstance(kept, bool) else kept.all()):
         raise ResidualTooLarge(f"record residual {np.max(residual)} fails the cut {tol.record_residual}")
@@ -121,9 +119,10 @@ def energy_casimir_hessian(x, params, V: Potential):
     its component axis last.  params.B may be an array broadcasting
     against x[0].  For one state x, a tuple of floats, lam is a float,
     summed left to right from 0.0 as numpy sums five terms."""
-    gH, gC = hamiltonian_gradient(x, params, V), casimir_gradient(x, params)
+    gH, gC = grad_hamiltonian(x, params, V), grad_casimir(x, params)
     if isinstance(x, tuple):
         (h0, h1, h2, h3, h4), (g0, g1, g2, g3, g4) = gH, gC
+        # written out: from Python 3.12, sum() of floats compensates rounding
         dot = 0.0 + h0 * g0 + h1 * g1 + h2 * g2 + h3 * g3 + h4 * g4
         norm2 = 0.0 + g0 * g0 + g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4
         lam = dot / norm2 if norm2 else math.nan         # numpy's 0/0
@@ -149,9 +148,8 @@ def _restricted_eigenvalues(M: np.ndarray, gC: np.ndarray) -> np.ndarray:
 
 
 def _signature(w, tol: Tolerances) -> tuple[int, int, int]:
-    """`_signatures` of four restricted eigenvalues w, as floats."""
-    w0, w1, w2, w3 = w
-    if abs(w0 * w1 * w2 * w3) < 1e-10:
+    """`_signatures` read off four restricted eigenvalues w, as floats."""
+    if abs(w[0] * w[1] * w[2] * w[3]) < 1e-10:
         return 0, 0, 4
     plus = sum(v > tol.eigenvalue for v in w)
     minus = sum(v < -tol.eigenvalue for v in w)
@@ -159,21 +157,13 @@ def _signature(w, tol: Tolerances) -> tuple[int, int, int]:
 
 
 def _signatures(M: np.ndarray, gC: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Signatures (n_plus, n_minus, n_zero) of the Hessians M restricted to
-    the complements of grad C, shape (..., 3): eigenvalues within
-    tol.eigenvalue of zero count as zero, and (0, 0, 4) marks a singular
-    restriction (eigenvalue product below 1e-10 in magnitude)."""
+    """Signatures of the Hessians M restricted to the complements of grad C,
+    shape (..., 3); (0, 0, 4) wherever the restriction is singular."""
     w = _restricted_eigenvalues(M, gC)
     side = np.where(np.abs(w) > tol.eigenvalue, np.sign(w), 0.0)    # +1, -1 or 0
     sig = (side[..., None] == (1.0, -1.0, 0.0)).sum(axis=-2)
     singular = np.abs(w.prod(axis=-1)) < 1e-10
     return np.where(singular[..., None], (0, 0, 4), sig)
-
-
-def _jacobians_and_signatures(x, params, V: Potential, tol: Tolerances):
-    """J = sigma M and the signatures of M from one Hessian M, at equilibria x under V."""
-    M, gC = energy_casimir_hessian(x, params, V)
-    return poisson_matrix(x, params) @ M, _signatures(M, gC, tol)
 
 
 def signature_arrays(x, params, V: Potential, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -247,9 +237,10 @@ def stability_rows(grid: GridEquilibria, V: Potential, tol: Tolerances = DEFAULT
     the signatures of M.  Raises ResidualTooLarge if an entry fails the
     residual cut."""
     _check_residual(grid.residual, tol)
-    params = identical_params(grid.B)
-    J, sigs = _jacobians_and_signatures(grid.states(), params, V, tol)
-    a, b = char_coefficients(J)
+    x, params = grid.states(), identical_params(grid.B)
+    M, gC = energy_casimir_hessian(x, params, V)
+    a, b = char_coefficients(poisson_matrix(x, params) @ M)
+    sigs = _signatures(M, gC, tol)
     classes = [c.value for c in classify(a, b, tol.classify)]
     families = [f.value for f in grid.family]
     cols = zip(grid.q.tolist(), grid.B.tolist(), families, a.tolist(), b.tolist(), classes,

@@ -194,12 +194,12 @@ def test_legendre_map_is_the_momentum_gradient_of_H(rng):
     params = SystemParams(1.3, 0.7, 1.0, -2.0, 0.9)
     V = cot_potential(params)
     X = np.vstack([rng.uniform(-2, 2, (3, 20)), rng.uniform(0.2, 2.9, 20), rng.uniform(-2, 2, 20)])
-    G = grad_hamiltonian(X, params, V)[[0, 1, 2, 4]]
+    G = np.array(grad_hamiltonian(X, params, V))[[0, 1, 2, 4]]
     assert np.array_equal(np.array(kinetic_gradient(X, params))[[0, 1, 2, 4]], G)
     state = ReducedState.from_array(X[:, 0])
     vel = reduced_to_body_velocity(state, params)
     one = [vel.omega1, vel.omega2, vel.omega3, vel.qdot]
-    assert one == grad_hamiltonian(state.as_array(), params, V)[[0, 1, 2, 4]].tolist()
+    assert one == np.array(grad_hamiltonian(state.as_array(), params, V))[[0, 1, 2, 4]].tolist()
 
 
 def test_step_count_takes_whole_numbers_of_steps():

@@ -289,8 +289,8 @@ def _ref_hessian_signature(record, V, tol=DEFAULT_TOL):
     the batched kernel, with (0, 0, 4) where the Hessian is singular."""
     x = record.state.as_array()
     params = record.params
-    gH = grad_hamiltonian(x, params, V)
-    gC = grad_casimir(x, params)
+    gH = np.array(grad_hamiltonian(x, params, V))
+    gC = np.array(grad_casimir(x, params))
     lam = float(gH @ gC) / float(gC @ gC)
     sym = lambda M: 0.5 * (M + M.T)
     D2H = sym(derivative_matrix(lambda z: grad_hamiltonian(z, params, V), x, V.analytic))
@@ -372,8 +372,8 @@ def _reference_linearize(x, params, V, tol=DEFAULT_TOL):
     J = jacobian_matrix(x, params, V)
     a, b = char_coefficients(J)
     last = (*range(1, x.ndim), 0)
-    gH = grad_hamiltonian(x, params, V).transpose(last)
-    gC = grad_casimir(x, params).transpose(last)
+    gH = np.array(grad_hamiltonian(x, params, V)).transpose(last)
+    gC = np.array(grad_casimir(x, params)).transpose(last)
     cc = (gC * gC).sum(axis=-1)
     lam = (gH * gC).sum(axis=-1) / cc
     sym = lambda M: 0.5 * (M + M.swapaxes(-1, -2))
