@@ -58,15 +58,14 @@ def grad_hamiltonian(x, params: SystemParams, V: Potential):
 
 def _matrix(rows, like) -> np.ndarray:
     """The 5x5 matrix of `rows`, five rows of five floats, where `like` is a
-    float; else the matrices of shape np.shape(like) + (5, 5) with these
-    entries, floats or arrays, each written into zeros unless it is 0.0."""
+    float; else the matrices of shape np.shape(like) + (5, 5) whose entries,
+    floats or arrays, the rows give."""
     if isinstance(like, float):
         return np.array(rows)
-    entries = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row)
-               if not (isinstance(v, float) and v == 0.0)]
-    D = np.zeros(np.shape(like) + (5, 5), dtype=np.result_type(like, 0.0))
-    for i, j, v in entries:
-        D[..., i, j] = v
+    D = np.empty(np.shape(like) + (5, 5), dtype=np.result_type(like, 0.0))
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            D[..., i, j] = v
     return D
 
 
