@@ -133,12 +133,20 @@ class RunConfig:
             return V
         raise ConfigError(f"unknown potential {self.potential!r}")
 
+    def reads(self) -> set:
+        """The command's fields in COMMANDS less those that its selector
+        values leave unread (UNREAD)."""
+        unread = {field for (command, selector, value), fields in UNREAD.items()
+                  if command == self.command and getattr(self, selector) == value
+                  for field in fields}
+        return set(COMMANDS[self.command][1]) - unread
+
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        for key in ("grid_q", "grid_B"):
-            if d[key] is not None:
-                d[key] = str(getattr(self, key))
-        return d
+        """The command and the fields it reads, grids as a:b:n strings."""
+        keep = {"command", *self.reads()}
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {k: str(v) if isinstance(v, GridSpec) else v
+                for k, v in values.items() if k in keep}
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -146,8 +154,7 @@ class RunConfig:
         for key in ("grid_q", "grid_B"):
             if d.get(key) is not None and not isinstance(d[key], GridSpec):
                 d[key] = GridSpec.parse(d[key])
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in dataclasses.fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return RunConfig(**d)
@@ -163,10 +170,6 @@ def _write(path: Optional[str], text: str) -> None:
         with open(path, "w") as fh:
             fh.write(text)
 
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
 
 def cmd_simulate(config: RunConfig) -> int:
     if config.q is None:
@@ -191,12 +194,6 @@ def _grid_families(config: RunConfig) -> str:
     if families not in GRID_FAMILIES:
         raise ConfigError(f"unknown family {config.family!r}")
     return families
-
-
-def _require_identical_cot(config: RunConfig) -> None:
-    """Refuse what the closed-form grid commands do not compute."""
-    if config.potential != "cot" or not config.params().identical:
-        raise ConfigError(f"{config.command} supports identical particles with V = cot only")
 
 
 def cmd_equilibria(config: RunConfig) -> int:
@@ -236,22 +233,20 @@ def cmd_equilibria(config: RunConfig) -> int:
 def cmd_stability(config: RunConfig) -> int:
     if not (config.grid_q and config.grid_B):
         raise ConfigError("stability needs --grid-q and --grid-B")
-    _require_identical_cot(config)
     families, tol = _grid_families(config), config.tolerances()
     grid = closed_form_grid(config.grid_q.axis(), config.grid_B.axis(), families, tol)
     kept = grid.cut(tol)
-    sys.stderr.write(
-        f"dropped {grid.residual.size - kept.residual.size} records with residual above "
-        f"{tol.record_residual:g}\n"
-    )
+    dropped = grid.residual.size - kept.residual.size
+    sys.stderr.write(f"dropped {dropped} records with residual above {tol.record_residual:g}\n")
     rows = stability_rows(kept, cot_potential(config.params()), tol)
     _write(config.out, stability_csv(rows))
     return 0
 
 
 def cmd_atlas(config: RunConfig) -> int:
-    _require_identical_cot(config)
-    md = {"diagram": config.diagram, "B": config.B, "potential": config.potential}
+    md = {"diagram": config.diagram, "B": config.B, "potential": "cot"}
+    if "B" not in config.reads():
+        del md["B"]
     if config.diagram == "bc":
         region = atlas.bc_region()
         traces = [{"B": t["B"], "C_min": t["C_min"], "C_max": t["C_max"]} for t in region.traces]
@@ -297,79 +292,81 @@ def cmd_reconstruct(config: RunConfig) -> int:
     return 0
 
 
+# Each subcommand's function and the RunConfig fields it reads, one
+# `--field-name` flag each; nothing else decides which command takes which
+# flag or --config key.
+_SYSTEM = ("mu1", "mu2", "e1", "e2", "B", "potential", "potential_file")
+_ORBIT = (*_SYSTEM, "q", "m1", "m2", "m3", "p", "dt", "t_end", "out")
 COMMANDS = {
-    "simulate": cmd_simulate,
-    "equilibria": cmd_equilibria,
-    "stability": cmd_stability,
-    "atlas": cmd_atlas,
-    "reconstruct": cmd_reconstruct,
+    "simulate": (cmd_simulate, (*_ORBIT, "fullspace")),
+    "equilibria": (cmd_equilibria, (*_SYSTEM, "q", "grid_q", "grid_B", "tol", "family", "out")),
+    "stability": (cmd_stability, ("grid_q", "grid_B", "tol", "family", "out")),
+    "atlas": (cmd_atlas, ("diagram", "B", "grid_q", "out")),
+    "reconstruct": (cmd_reconstruct, _ORBIT),
+}
+# The fields of COMMANDS that (command, selector field, value) leaves unread.
+UNREAD = {
+    ("equilibria", "family", "right-angle"): ("q", "grid_q", "grid_B"),
+    ("atlas", "diagram", "threshold"): ("B",),
+    ("atlas", "diagram", "type1-stability"): ("B",),
+    ("atlas", "diagram", "ec"): ("grid_q",),
+    ("atlas", "diagram", "zero-casimir"): ("grid_q",),
+    ("atlas", "diagram", "bc"): ("B", "grid_q"),
+    ("atlas", "diagram", "appendix-limits"): ("B", "grid_q"),
 }
 
-
-# ---------------------------------------------------------------------------
-# argument parsing
-# ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
 
+# the argparse keywords of a flag, by the type of its RunConfig field
+_FLAG_KWARGS = {"float": {"type": float}, "str": {},
+                "GridSpec": {"type": GridSpec.parse, "metavar": "a:b:n"},
+                "bool": {"action": "store_true", "default": None}}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="magsphere", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    kinds = {f.name: f.type.removeprefix("Optional[").rstrip("]")
+             for f in dataclasses.fields(RunConfig)}
+    for name, (_, fields) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--mu1", type=float)
-        p.add_argument("--mu2", type=float)
-        p.add_argument("--e1", type=float)
-        p.add_argument("--e2", type=float)
-        p.add_argument("--B", type=float)
-        p.add_argument("--q", type=float)
-        p.add_argument("--potential", choices=("cot", "custom-table"))
-        p.add_argument("--potential-file", dest="potential_file")
-        p.add_argument("--grid-q", dest="grid_q", type=GridSpec.parse, metavar="a:b:n")
-        p.add_argument("--grid-B", dest="grid_B", type=GridSpec.parse, metavar="a:b:n")
-        p.add_argument("--dt", type=float)
-        p.add_argument("--t-end", dest="t_end", type=float)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--out")
-        p.add_argument("--diagram")
-        p.add_argument("--family")
-        p.add_argument("--m1", type=float)
-        p.add_argument("--m2", type=float)
-        p.add_argument("--m3", type=float)
-        p.add_argument("--p", type=float)
-        p.add_argument("--fullspace", action="store_true", default=None)
+        for field in fields:
+            p.add_argument("--" + field.replace("_", "-"), dest=field, **_FLAG_KWARGS[kinds[field]])
     return parser
 
 
 def parse_config(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    base: dict = {"command": ns.command}
-    if ns.config:
+    """The --config file's keys, overridden by the flags given.  A key the
+    command does not read, such as B under `atlas --diagram bc`, is a
+    ConfigError."""
+    flags = vars(build_parser().parse_args(argv))
+    path, given = flags.pop("config"), {}
+    if path:
         try:
-            with open(ns.config) as fh:
-                base.update(json.load(fh))
+            with open(path) as fh:
+                given = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"bad config file: {exc}") from exc
-    for key, value in vars(ns).items():
-        if key in ("config",) or value is None:
-            continue
-        base[key] = value
-    return RunConfig.from_dict(base)
+        if not isinstance(given, dict):
+            raise ConfigError(f"config file {path} holds no JSON object")
+    given.update((k, v) for k, v in flags.items() if v is not None)
+    config = RunConfig.from_dict(given)
+    unread = set(given) - config.reads() - {"command"}
+    if unread:
+        raise ConfigError(f"{config.command} does not read {sorted(unread)}")
+    return config
 
 
 def main(argv=None) -> int:
     try:
         config = parse_config(sys.argv[1:] if argv is None else argv)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 1
-    try:
-        return COMMANDS[config.command](config)
+        return COMMANDS[config.command][0](config)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1

@@ -5,10 +5,10 @@ in closed form (`reduced.hessian_hamiltonian`, `reduced.hessian_casimir`),
 gives both answers: the Jacobian of rhs = sigma grad H is J = sigma M, since
 sigma grad C = 0, and M on the Casimir level set gives the energy-Casimir
 signature.  J = sigma M holds only at equilibria of the potential passed in,
-so `linearize` takes a record's residual under that potential.  Nothing
-here differentiates numerically.  The kernels take a batch of states, or
-one record as a tuple of floats (`linearize`), and one `eigvalsh` gives the
-signature.  The characteristic polynomial at an equilibrium is
+so `linearize` and `stability_rows` take the residual under that potential.
+Nothing here differentiates numerically.  The kernels take a batch of
+states, or one record as a tuple of floats (`linearize`), and one `eigvalsh`
+gives the signature.  The characteristic polynomial at an equilibrium is
 x(-x^4 + a x^2 + b); the class is read off (a, b).
 """
 
@@ -32,7 +32,7 @@ from .core import (
     csv_text,
     identical_params,
 )
-from .equilibria import EquilibriumRecord, GridEquilibria, passes_residual_cut
+from .equilibria import EquilibriumRecord, GridEquilibria, equilibrium_values, passes_residual_cut
 from .reduced import (grad_casimir, grad_hamiltonian, hessian_casimir, hessian_hamiltonian,
                       poisson_matrix, residual, rhs)  # perfbench's tracer test reads stability.rhs
 
@@ -49,10 +49,6 @@ class LinearizationReport:
     char_coeffs: tuple[float, float]       # (a, b) of x(-x^4 + a x^2 + b)
     classification: Classification
     hessian_signature: tuple[int, int, int]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.jacobian)
 
 
 _CLASSES = np.array(
@@ -166,16 +162,6 @@ def _signatures(M: np.ndarray, gC: np.ndarray, tol: Tolerances) -> np.ndarray:
     return np.where(singular[..., None], (0, 0, 4), sig)
 
 
-def signature_arrays(x, params, V: Potential, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Signatures (n_plus, n_minus, n_zero) of the Hessian of H restricted
-    to the Casimir level set at equilibria x of shape (5, ...), with shape
-    (..., 3); (0, 0, 4) wherever that Hessian is singular (a cusp).  That
-    is M of `energy_casimir_hessian` on the orthogonal complement of grad C.
-    params.B may be an array broadcasting against x[0].
-    """
-    return _signatures(*energy_casimir_hessian(x, params, V), tol)
-
-
 def hessian_signature(
     record: EquilibriumRecord,
     V: Potential,
@@ -234,10 +220,10 @@ _COLUMNS = ("q", "B", "family", "a", "b", "class", "n_plus", "n_minus", "n_zero"
 def stability_rows(grid: GridEquilibria, V: Potential, tol: Tolerances = DEFAULT_TOL) -> List[dict]:
     """Rows of `stability_csv`, one per entry of a closed-form grid, from
     one batched Hessian M: (a, b) and class from the Jacobians sigma M, and
-    the signatures of M.  Raises ResidualTooLarge if an entry fails the
-    residual cut."""
-    _check_residual(grid.residual, tol)
+    the signatures of M.  As in `linearize`, the entries' residual is taken
+    under V, in one batch: ResidualTooLarge if an entry fails the cut."""
     x, params = grid.states(), identical_params(grid.B)
+    _check_residual(equilibrium_values(x, params, V)[2], tol)
     M, gC = energy_casimir_hessian(x, params, V)
     a, b = char_coefficients(poisson_matrix(x, params) @ M)
     sigs = _signatures(M, gC, tol)

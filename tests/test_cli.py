@@ -24,13 +24,38 @@ def test_grid_spec_parsing():
     assert main(["atlas", "--diagram", "threshold", "--grid-q", "nan:1:3"]) == 1
 
 
-def test_run_config_round_trip():
-    for grid_q in ("0.5:2.5:10", "0.5:2.641592653589793:3"):
-        cfg = parse_config(
-            ["equilibria", "--B", "2.5", "--grid-q", grid_q, "--family", "type1"]
-        )
-        again = RunConfig.from_dict(json.loads(cfg.to_json()))
-        assert again == cfg
+# A command line of each subcommand, `atlas` at two diagrams, and a command
+# line that does not read one of the keys its config file holds.
+ROUND_TRIPS = {
+    "simulate": (["simulate", "--q", "1.4", "--m2", "0.05", "--B", "2.5", "--fullspace",
+                  "--potential", "custom-table", "--potential-file", "pot.csv"],
+                 ["reconstruct"]),
+    "reconstruct": (["reconstruct", "--q", "1.4", "--m3", "0.5", "--dt", "0.01"], ["equilibria"]),
+    "equilibria": (["equilibria", "--B", "2.5", "--grid-q", "0.5:2.641592653589793:3",
+                    "--family", "type1"], ["equilibria", "--family", "right-angle"]),
+    "stability": (["stability", "--grid-q", "0.5:2.5:10", "--grid-B", "1:4:3", "--tol", "1e-5"],
+                  ["atlas", "--diagram", "threshold"]),
+    "atlas_ec": (["atlas", "--diagram", "ec", "--B", "2.5", "--out", "ec.csv"],
+                 ["atlas", "--diagram", "bc"]),
+    "atlas_threshold": (["atlas", "--diagram", "threshold", "--grid-q", "0.5:2.5:10"],
+                        ["stability", "--grid-B", "1:4:3"]),
+}
+
+
+@pytest.mark.parametrize("argv, other", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+def test_run_config_round_trip(tmp_path, capsys, argv, other):
+    """`to_json` writes the command and the fields it reads: the file reads
+    back, by `from_dict` and by --config, as the same RunConfig, and a
+    command line that does not read one of its keys exits 1."""
+    cfg = parse_config(argv)
+    assert RunConfig.from_dict(json.loads(cfg.to_json())) == cfg
+    f = tmp_path / "cfg.json"
+    f.write_text(cfg.to_json())
+    assert set(json.loads(f.read_text())) == {"command", *cfg.reads()}
+    assert parse_config([argv[0], "--config", str(f)]) == cfg
+    assert main([*other, "--config", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(r"config error: \w+ does not read \[.+\]\n", err)
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -45,6 +70,11 @@ def test_unknown_config_key_rejected(tmp_path):
     f.write_text(json.dumps({"bogus": 1}))
     with pytest.raises(ConfigError):
         parse_config(["equilibria", "--config", str(f)])
+    # a file that holds no JSON object was a TypeError traceback
+    for text in ("[1]", '"B"', "2.5"):
+        f.write_text(text)
+        with pytest.raises(ConfigError, match="holds no JSON object"):
+            parse_config(["equilibria", "--config", str(f)])
 
 
 def test_simulate_writes_trajectory(tmp_path):
@@ -267,6 +297,65 @@ def test_inputs_a_command_does_not_compute_are_config_errors(tmp_path, capsys, a
     assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+# What each command line reads, written out apart from cli.py: a command
+# line (under one --diagram or --family where that decides) and the RunConfig
+# fields it reads, beyond --config.  Per subcommand that is 58 flags with
+# --config: simulate 17, reconstruct 16, equilibria 14, stability 6, atlas 5.
+SYSTEM = {"mu1", "mu2", "e1", "e2", "B", "potential", "potential_file"}
+ORBIT = SYSTEM | {"q", "m1", "m2", "m3", "p", "dt", "t_end", "out"}
+READ_BY = {
+    "simulate": (["simulate", "--q", "1.4"], ORBIT | {"fullspace"}),
+    "reconstruct": (["reconstruct", "--q", "1.4"], ORBIT),
+    "equilibria": (["equilibria", "--q", "1.0"],
+                   SYSTEM | {"q", "grid_q", "grid_B", "tol", "family", "out"}),
+    "equilibria_right_angle": (["equilibria", "--family", "right-angle"],
+                               SYSTEM | {"tol", "family", "out"}),
+    "stability": (["stability", "--grid-q", "0.5:2.5:3", "--grid-B", "1:4:2"],
+                  {"grid_q", "grid_B", "tol", "family", "out"}),
+    **{f"atlas_{diagram}": (["atlas", "--diagram", diagram], {"diagram", "out", *extra})
+       for diagram, extra in [("threshold", ["grid_q"]), ("type1-stability", ["grid_q"]),
+                              ("ec", ["B"]), ("zero-casimir", ["B"]), ("bc", []),
+                              ("appendix-limits", [])]},
+}
+FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.name != "command"]
+VALUES = {"potential": "cot", "potential_file": "pot.csv", "grid_q": "0.5:2.5:3",
+          "grid_B": "1:4:2", "diagram": "ec", "family": "type1", "out": "x", "fullspace": True}
+
+
+def _given(tmp_path, source, field):
+    """The command-line words that give `field` one value, as a flag or a
+    --config key."""
+    value = VALUES.get(field, 1.5)
+    if source == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        return ["--config", str(cfg)]
+    flag = "--" + field.replace("_", "-")
+    return [flag] if value is True else [flag, str(value)]
+
+
+@pytest.mark.parametrize("case", READ_BY)
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_a_command_takes_exactly_the_fields_it_reads(tmp_path, capsys, case, source):
+    """Each field a command line reads is accepted, as a flag or as a
+    --config key.  Each field it does not read exits 1 with a config error
+    and writes nothing: `atlas` reads B for `ec` and `zero-casimir` only
+    and --grid-q for the two curves only, and `equilibria --family
+    right-angle` reads no q or grid."""
+    argv, reads = READ_BY[case]
+    assert reads <= set(FIELDS)
+    out = tmp_path / "out"
+    for field in FIELDS:
+        given = _given(tmp_path, source, field)
+        if field in reads:
+            parse_config([*argv, *given])
+            continue
+        assert main([*argv, *given, "--out", str(out)]) == 1, field
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("config error: "), (field, err)
+        assert not out.exists(), field
 
 
 def test_custom_table_potential(tmp_path):

@@ -551,7 +551,7 @@ def _kept(fn, exc) -> bool:
 def _cli_outputs(tmp_path, *argv) -> int:
     """Records (equilibria) or rows (stability) written by one CLI run."""
     out = tmp_path / "out"
-    assert cli.main([*argv, "--B", "2.5", "--family", "type1", "--out", str(out)]) == 0
+    assert cli.main([*argv, "--family", "type1", "--out", str(out)]) == 0
     text = out.read_text()
     return len(json.loads(text)) if argv[0] == "equilibria" else text.count("\n") - 1
 
@@ -565,7 +565,7 @@ CUT_CHECKS = {
     "atlas.stability_grid": lambda tmp: atlas.stability_grid([1.0], [2.5]).cells[0]["entries"],
     "cmd_stability": lambda tmp: _cli_outputs(
         tmp, "stability", "--grid-q", "1:1.2:2", "--grid-B", "2.5:2.6:2") == 8,
-    "cmd_equilibria": lambda tmp: _cli_outputs(tmp, "equilibria", "--q", "1.0") == 2,
+    "cmd_equilibria": lambda tmp: _cli_outputs(tmp, "equilibria", "--q", "1.0", "--B", "2.5") == 2,
     "stability_rows": lambda tmp: _kept(
         lambda: stability_rows(closed_form_grid([1.0], [2.5], "type1"), _V), ResidualTooLarge),
     "linearize": lambda tmp: _kept(lambda: linearize(type1(1.0, 2.5)[0], _V), ResidualTooLarge),
@@ -590,6 +590,7 @@ def test_every_residual_check_applies_one_cut(monkeypatch, tmp_path, check, resi
         return H, C, np.full(np.shape(res), residual)
 
     monkeypatch.setattr(equilibria, "equilibrium_values", injected)
-    # linearize takes the residual under its V itself
+    # linearize and stability_rows take the residual under their V themselves
     monkeypatch.setattr(stability, "residual", lambda x, params, V: residual)
+    monkeypatch.setattr(stability, "equilibrium_values", injected)
     assert bool(CUT_CHECKS[check](tmp_path)) == (residual < CUT)

@@ -77,7 +77,7 @@ def test_numpy_only_ci_job_runs(tmp_path):
     steps = workflow["jobs"]["numpy-only"]["steps"]
     lines = [line for step in steps if "magsphere " in step.get("run", "")
              for line in step["run"].splitlines()]
-    assert sum(line.startswith("magsphere ") for line in lines) == 7
+    assert sum(line.startswith("magsphere ") for line in lines) == 8
     code = f"""
 import shlex, sys
 sys.modules["scipy"] = sys.modules["sympy"] = None     # importing either now raises
@@ -94,6 +94,7 @@ print("ran", len({lines!r}))
     assert _fresh(code, cwd=tmp_path) == f"ran {len(lines)}"
     assert (tmp_path / "map.csv").read_text().startswith("q,B,family,")
     assert (tmp_path / "traj.csv.full").read_text().startswith("t,q1x,")
+    assert (tmp_path / "full.csv").read_text().startswith("t,q1x,")
 
 
 def test_no_module_imports_scipy():

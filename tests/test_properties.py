@@ -16,13 +16,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from magsphere.core import SystemParams, cot_potential, csv_text, kinetic_gradient, table_potential
+from magsphere.core import (DEFAULT_TOL, SystemParams, cot_potential, csv_text, kinetic_gradient,
+                            table_potential)
 from magsphere.equilibria import _block, equilibrium_values, solve_general
 from magsphere.fullspace import _project, full_rhs, geodesic_distance, one_particle_rhs
 from magsphere.reduced import (_casimir_projection, casimir_array, grad_casimir, grad_hamiltonian,
                                hamiltonian_array, hessian_casimir, hessian_hamiltonian,
                                poisson_matrix, rhs, shifted_momentum)
-from magsphere.stability import energy_casimir_hessian, linearize, signature_arrays, stability_arrays
+from magsphere.stability import _signatures, energy_casimir_hessian, linearize, stability_arrays
 
 from conftest import per_value_csv
 from reference import derivative_matrix
@@ -206,15 +207,15 @@ def test_energy_kernels_one_state_equal_batch_column(params, states, table):
 def test_linearize_equals_its_batch_column(params, q, table):
     """`linearize` on each record of `solve_general`, for cot and a table,
     equals that record's column of the batched kernels bit for bit: J =
-    sigma M, (a, b) and class of `stability_arrays`, and the signature of
-    `signature_arrays`."""
+    sigma M, (a, b) and class of `stability_arrays`, and the signature
+    `_signatures` reads off the batched Hessians."""
     assume(abs(q - np.pi / 2) > 0.05)
     V = TABLE if table else cot_potential(params)
     records = solve_general(q, params, V)
     X = np.array([r.state.as_array() for r in records]).T
     J = poisson_matrix(X, params) @ energy_casimir_hessian(X, params, V)[0]
     a, b, classes = stability_arrays(X, params, V)
-    sigs = signature_arrays(X, params, V).tolist()
+    sigs = _signatures(*energy_casimir_hessian(X, params, V), DEFAULT_TOL).tolist()
     for j, r in enumerate(records):
         rep = linearize(r, V)
         assert np.array_equal(rep.jacobian, J[j]), j

@@ -28,11 +28,12 @@ from magsphere.equilibria import (
 from magsphere.reduced import grad_casimir, grad_hamiltonian, rhs
 from magsphere.stability import (
     Classification,
+    _signatures,
     char_coefficients,
     classify,
+    energy_casimir_hessian,
     hessian_signature,
     linearize,
-    signature_arrays,
     stability_csv,
     stability_rows,
     threshold_stability,
@@ -105,7 +106,7 @@ def test_char_coefficients_match_np_poly_on_acceptance_grid():
 def test_linearize_spectrum_structure(params, V):
     rec = type1(1.0, 2.5)[0]
     rep = linearize(rec, V)
-    ev = rep.eigenvalues
+    ev = np.linalg.eigvals(rep.jacobian)
     assert np.sum(np.abs(ev) < 1e-8) == 1
     # closed under negation
     for lam in ev:
@@ -153,8 +154,8 @@ def test_threshold_characteristic_polynomial():
 def test_threshold_spectrum_at_right_angle():
     """At q0 = pi/2 both quadratic factors give eigenvalues +-i sqrt(2)."""
     rec = type2(np.pi / 2, 2.0)[0]
-    rep = linearize(rec, cot_potential(rec.params))
-    nonzero = sorted(np.imag(rep.eigenvalues[np.abs(rep.eigenvalues) > 1e-8]))
+    ev = np.linalg.eigvals(linearize(rec, cot_potential(rec.params)).jacobian)
+    nonzero = sorted(np.imag(ev[np.abs(ev) > 1e-8]))
     assert np.allclose(nonzero, [-np.sqrt(2), -np.sqrt(2), np.sqrt(2), np.sqrt(2)], atol=1e-7)
 
 
@@ -255,8 +256,8 @@ def _table_cot():
 
 
 # The cot records of the grids below have max|rhs| up to 3e-4 under
-# `_table_cot()`, so `linearize` refuses them there at the default cut; the
-# per-record comparisons under the table take this cut instead.
+# `_table_cot()`, so `linearize` and `stability_rows` refuse them there at
+# the default cut; the comparisons under the table take this cut instead.
 OFF_TABLE = Tolerances(record_residual=1e-3)
 
 
@@ -266,10 +267,10 @@ def test_stability_rows_equal_per_record_linearize(table):
     for a table potential."""
     V = _table_cot() if table else cot_potential(identical_params(1.0))
     grid = closed_form_grid([0.7, 1.2, 2.0, 2.6], [1.0, 2.5, 4.0])
-    rows = stability_rows(grid, V)
+    tol = OFF_TABLE if table else DEFAULT_TOL
+    rows = stability_rows(grid, V, tol)
     recs = grid.records()
     assert len(rows) == len(recs) > 8
-    tol = OFF_TABLE if table else DEFAULT_TOL
     if table:
         with pytest.raises(ResidualTooLarge):
             linearize(recs[0], V)
@@ -281,7 +282,18 @@ def test_stability_rows_equal_per_record_linearize(table):
         assert row["class"] == rep.classification.value
         assert (row["n_plus"], row["n_minus"], row["n_zero"]) == rep.hessian_signature
     with pytest.raises(ResidualTooLarge):
-        stability_rows(dataclasses.replace(grid, residual=grid.residual + 1.0), V)
+        stability_rows(dataclasses.replace(grid, m2=grid.m2 + 0.1), V, tol)
+
+
+def test_stability_rows_take_the_residual_under_their_potential():
+    """The 34 cot entries of this grid reach max|rhs| = 2.9e-5 under the
+    400-node table of cot: `stability_rows` refuses them there at the
+    default cut, as `linearize` does, whatever residual the grid stored."""
+    grid = closed_form_grid([0.7, 1.2, 2.0, 2.6], [1.0, 2.5, 4.0])
+    assert grid.q.size == 34 and grid.residual.max() < 1e-9
+    with pytest.raises(ResidualTooLarge):
+        stability_rows(grid, _table_cot())
+    assert len(stability_rows(grid, _table_cot(), OFF_TABLE)) == 34
 
 
 def _ref_hessian_signature(record, V, tol=DEFAULT_TOL):
@@ -308,14 +320,15 @@ def _ref_hessian_signature(record, V, tol=DEFAULT_TOL):
 
 
 @pytest.mark.parametrize("table", [False, True])
-def test_signature_arrays_equal_per_record_reference(table):
-    """Every entry of the 50 x 50 acceptance grid: one batched call against
-    the per-record reference, and hessian_signature on each record."""
+def test_stability_rows_signatures_equal_per_record_reference(table):
+    """Every entry of the 50 x 50 acceptance grid: the signature columns of
+    one `stability_rows` call against the per-record reference, and
+    hessian_signature on each record."""
     grid = closed_form_grid(np.linspace(0.2, np.pi - 0.2, 50), np.linspace(0.1, 5.0, 50))
     grid = grid.take(grid.residual <= 1e-9)
-    params = identical_params(grid.B)
-    V = _table_cot() if table else cot_potential(params)
-    sigs = signature_arrays(grid.states(), params, V)
+    V = _table_cot() if table else cot_potential(identical_params(grid.B))
+    rows = stability_rows(grid, V, OFF_TABLE if table else DEFAULT_TOL)
+    sigs = np.array([(r["n_plus"], r["n_minus"], r["n_zero"]) for r in rows])
     assert sigs.shape == (grid.q.size, 3) and grid.q.size > 5000
     assert set(map(tuple, sigs.tolist())) >= {(4, 0, 0), (2, 2, 0)}
     for i, (sig, rec) in enumerate(zip(map(tuple, sigs.tolist()), grid.records())):
@@ -348,7 +361,8 @@ def test_signature_at_the_meeting_point_is_singular():
     assert linearize(rec, V).hessian_signature == (0, 0, 4)
     x = np.stack([rec.state.as_array(), type2(1.8, 2.5)[0].state.as_array()], axis=-1)
     params = identical_params(np.array([B_CRITICAL, 2.5]))
-    assert signature_arrays(x, params, V).tolist() == [[0, 0, 4], [4, 0, 0]]
+    sigs = _signatures(*energy_casimir_hessian(x, params, V), DEFAULT_TOL)
+    assert sigs.tolist() == [[0, 0, 4], [4, 0, 0]]
 
 
 def test_type2_boundaries_emanate_from_degenerate_point():
