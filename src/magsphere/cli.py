@@ -18,7 +18,7 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -152,11 +152,15 @@ class RunConfig:
     def from_dict(d: dict) -> "RunConfig":
         d = dict(d)
         for key in ("grid_q", "grid_B"):
-            if d.get(key) is not None and not isinstance(d[key], GridSpec):
+            if isinstance(d.get(key), str):
                 d[key] = GridSpec.parse(d[key])
         unknown = set(d) - {f.name for f in dataclasses.fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        types = get_type_hints(RunConfig)         # the field types, as the parser reads them
+        for key, value in d.items():              # a JSON number such as 2 loads as an int
+            if not isinstance(float(value) if type(value) is int else value, types[key]):
+                raise ConfigError(f"{key} must be {RunConfig.__annotations__[key]}, not {value!r}")
         return RunConfig(**d)
 
     def to_json(self) -> str:

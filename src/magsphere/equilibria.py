@@ -158,9 +158,13 @@ def equilibrium_states(m2, m3, q) -> np.ndarray:
 
 def type2_threshold(q: float) -> float:
     """Field strength above which the isosceles family exists at distance q.
-    A q outside the guarded interval, or NaN, is a DomainError."""
+    A q outside the guarded interval, or NaN, is a DomainError, and so is a
+    q below about 1.05e-8, where 1 - cos q rounds to 0 and B would be inf."""
     check_q(q)
-    return 2.0 * np.sqrt(1.0 / (np.sin(q) * (1.0 - np.cos(q))))
+    d = np.sin(q) * (1.0 - np.cos(q))
+    if not d > 0:
+        raise DomainError(f"no finite threshold at q={q}: 1 - cos q rounds to 0")
+    return 2.0 * np.sqrt(1.0 / d)
 
 
 def type1_arrays(q, B) -> ClosedForms:

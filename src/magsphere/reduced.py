@@ -1,9 +1,10 @@
 """The reduced Poisson system on (m1, m2, m3, q, p).
 
-Hamiltonian and Casimir with their gradients and closed-form Hessians,
-bracket matrix, equations of motion and a fixed-step integrator with
-invariant monitoring.  The bracket table is normative; a test pins the
-identity rhs = sigma . grad(H).
+Hamiltonian and Casimir with their gradients, their closed-form Hessians
+and the bracket matrix (each as its blocks over (m1, p) and (m2, m3, q)),
+equations of motion and a fixed-step integrator with invariant
+monitoring.  The bracket table is normative; a test pins the identity
+rhs = sigma . grad(H).
 """
 
 from __future__ import annotations
@@ -56,22 +57,12 @@ def grad_hamiltonian(x, params: SystemParams, V: Potential):
     return dm1, dm2, dm3, dq + V.derivative(x[3]), dp
 
 
-def _matrix(rows, like) -> np.ndarray:
-    """The 5x5 matrix of `rows`, five rows of five floats, where `like` is a
-    float; else the matrices of shape np.shape(like) + (5, 5) whose entries,
-    floats or arrays, the rows give."""
-    if isinstance(like, float):
-        return np.array(rows)
-    D = np.empty(np.shape(like) + (5, 5), dtype=np.result_type(like, 0.0))
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            D[..., i, j] = v
-    return D
-
-
-def hessian_hamiltonian(x, params: SystemParams, V: Potential) -> np.ndarray:
-    """D2H = D2T + V''(q) e_q e_q^T in closed form at states x of shape
-    (5, ...), with shape (..., 5, 5); T is quadratic in the momenta."""
+def hessian_hamiltonian(x, params: SystemParams, V: Potential):
+    """D2H = D2T + V''(q) e_q e_q^T in closed form at states x = (m1, m2,
+    m3, q, p), floats or arrays; T is quadratic in the momenta.  D2H couples
+    neither m1 nor p to (m2, m3, q), so it is returned as its two blocks,
+    tuples of rows: the 2x2 block on (m1, p), then the 3x3 block on (m2, m3,
+    q)."""
     mu1, mu2 = params.mu1, params.mu2
     m1, m2, m3, q, p = x
     m = mathlib(q)
@@ -81,8 +72,7 @@ def hessian_hamiltonian(x, params: SystemParams, V: Potential) -> np.ndarray:
     h22 = (mu1 + mu2 * c * c) / (k * s2)
     h23 = (mu2 * m2 * s - 2 * mu * m3 * c) / (k * s2 * s)
     h33 = m3 * (mu * m3 * (1 + 2 * c * c) - 2 * mu2 * m2 * s * c) / (k * s2 * s2) + V.second(q)
-    return _matrix(((a, 0.0, 0.0, 0.0, -a), (0.0, a, h12, h13, 0.0), (0.0, h12, h22, h23, 0.0),
-                    (0.0, h13, h23, h33, 0.0), (-a, 0.0, 0.0, 0.0, mu / k)), q)
+    return ((a, -a), (-a, mu / k)), ((a, h12, h13), (h12, h22, h23), (h13, h23, h33))
 
 
 def _momentum_shift(q, params: SystemParams):
@@ -120,30 +110,30 @@ def grad_casimir(x, params: SystemParams):
             -2 * params.B * params.e2 * (v2 * m.cos(q) + v3 * m.sin(q)), 0.0 * v1)
 
 
-def hessian_casimir(x, params: SystemParams) -> np.ndarray:
-    """D2C at states x of shape (5, ...), with shape (..., 5, 5), in closed
-    form: with b = B e2, 2 on the m diagonal, d2C/dm2dq = -2b cos q,
-    d2C/dm3dq = -2b sin q and d2C/dq2 = 2b (m2 sin q - (m3 + B e1) cos q)."""
+def hessian_casimir(x, params: SystemParams):
+    """D2C in closed form at states x, as `hessian_hamiltonian` gives D2H:
+    with b = B e2, 2 on the m diagonal, d2C/dm2dq = -2b cos q, d2C/dm3dq =
+    -2b sin q, d2C/dq2 = 2b (m2 sin q - (m3 + B e1) cos q) and 0 else."""
     m1, m2, m3, q, p = x
     b = params.B * params.e2
     m = mathlib(q)
     s, c = m.sin(q), m.cos(q)
     h13, h23 = -2 * b * c, -2 * b * s
     h33 = 2 * b * (m2 * s - (m3 + params.B * params.e1) * c)
-    return _matrix(((2.0, 0.0, 0.0, 0.0, 0.0), (0.0, 2.0, 0.0, h13, 0.0), (0.0, 0.0, 2.0, h23, 0.0),
-                    (0.0, h13, h23, h33, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0)), m2 * b)
+    return ((2.0, 0.0), (0.0, 0.0)), ((2.0, 0.0, h13), (0.0, 2.0, h23), (h13, h23, h33))
 
 
-def poisson_matrix(x, params: SystemParams) -> np.ndarray:
-    """The bracket matrix sigma, {x_i, x_j} = sigma[i, j], at states x of
-    shape (5, ...), with shape (..., 5, 5)."""
+def poisson_blocks(x, params: SystemParams):
+    """The bracket matrix sigma, {x_i, x_j} = sigma[i, j], at states x,
+    floats or arrays, as its blocks X and Y, tuples of rows: sigma is
+    [[0, X], [-X^T, Y]] over (m1, p) and (m2, m3, q).  Y is zero where m1
+    is, as at every relative equilibrium."""
     v1, v2, v3 = shifted_momentum(x, params)
     q = x[3]
     m = mathlib(q)
     b2 = params.B * params.e2
     c, s = b2 * m.cos(q), b2 * m.sin(q)
-    return _matrix(((0.0, -v3, v2, 0.0, 0.0), (v3, 0.0, -v1, 0.0, c), (-v2, v1, 0.0, 0.0, s),
-                    (0.0, 0.0, 0.0, 0.0, 1.0), (0.0, -c, -s, -1.0, 0.0)), v3)
+    return ((-v3, v2, 0.0), (-c, -s, -1.0)), ((0.0, -v1, 0.0), (v1, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 def rhs(x, params: SystemParams, V: Potential):

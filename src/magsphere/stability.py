@@ -1,15 +1,18 @@
-"""Linear stability of relative equilibria, from one Hessian per equilibrium.
+"""Linear stability of relative equilibria, from two blocks of one Hessian.
 
-At an equilibrium grad H = lam grad C, and M = D2H - lam D2C, both Hessians
-in closed form (`reduced.hessian_hamiltonian`, `reduced.hessian_casimir`),
-gives both answers: the Jacobian of rhs = sigma grad H is J = sigma M, since
-sigma grad C = 0, and M on the Casimir level set gives the energy-Casimir
-signature.  J = sigma M holds only at equilibria of the potential passed in,
-so `linearize` and `stability_rows` take the residual under that potential.
-Nothing here differentiates numerically.  The kernels take a batch of
-states, or one record as a tuple of floats (`linearize`), and one `eigvalsh`
-gives the signature.  The characteristic polynomial at an equilibrium is
-x(-x^4 + a x^2 + b); the class is read off (a, b).
+At an equilibrium grad H = lam grad C, and M = D2H - lam D2C gives both
+answers: J = sigma M is the Jacobian of rhs = sigma grad H, since sigma
+grad C = 0, and M on the Casimir level set gives the energy-Casimir
+signature.  M is A (+) K, with A on (m1, p) and K on (m2, m3, q), and at
+m1 = p = 0, as at every relative equilibrium, sigma is [[0, X], [-X^T, 0]]
+and grad C lies in K's coordinates (`reduced`).  So the characteristic
+polynomial x(-x^4 + a x^2 + b) has a = -tr N and b = -det N, N = X K X^T A,
+and the restricted Hessian has the eigenvalues of A and of K compressed
+onto the plane normal to grad C.  One source serves one record as floats
+(`linearize`) and a batch as arrays (`core.mathlib`).  J = sigma M holds
+only at equilibria of the potential passed in, so `linearize` and
+`stability_rows` take the residual under it.  Nothing here differentiates
+numerically.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    DomainError,
     OutsideDomain,
     Potential,
     ResidualTooLarge,
@@ -31,10 +35,11 @@ from .core import (
     check_q,
     csv_text,
     identical_params,
+    mathlib,
 )
 from .equilibria import EquilibriumRecord, GridEquilibria, equilibrium_values, passes_residual_cut
 from .reduced import (grad_casimir, grad_hamiltonian, hessian_casimir, hessian_hamiltonian,
-                      poisson_matrix, residual, rhs)  # perfbench's tracer test reads stability.rhs
+                      poisson_blocks, residual, rhs)  # perfbench's tracer test reads stability.rhs
 
 
 class Classification(Enum):
@@ -71,37 +76,6 @@ def classify(a, b, tol: float = 1e-10):
     return _CLASSES[2 * degenerate + (1 - degenerate) * (1 - stable)]   # Degenerate, else 0 or 1
 
 
-def char_coefficients(J: np.ndarray):
-    """(a, b) of x(-x^4 + a x^2 + b), the characteristic polynomial of
-    Jacobians J of shape (..., 5, 5) after deflating the zero root that the
-    Casimir forces.
-
-    The coefficients c1..c4 of det(x - J) = x^5 + c1 x^4 + ... + c5 follow
-    from the power sums p_k = tr J^k by Newton's identities; a = -c2 and
-    b = -c4.  Scalar for one Jacobian, arrays of shape (...) for a batch.
-    """
-    J2 = J @ J
-    p1 = J.trace(axis1=-2, axis2=-1)
-    p2 = J2.trace(axis1=-2, axis2=-1)
-    p3 = (J2 * J.swapaxes(-1, -2)).sum(axis=(-2, -1))
-    p4 = (J2 * J2.swapaxes(-1, -2)).sum(axis=(-2, -1))
-    c1 = -p1
-    c2 = -(c1 * p1 + p2) / 2
-    c3 = -(c2 * p1 + c1 * p2 + p3) / 3
-    c4 = -(c3 * p1 + c2 * p2 + c1 * p3 + p4) / 4
-    if J.ndim == 2:
-        return -float(c2), -float(c4)
-    return -c2, -c4
-
-
-def stability_arrays(x, params, V: Potential, tol: Tolerances = DEFAULT_TOL):
-    """(a, b) and classes at equilibria x of shape (5, ...), from the batched
-    Jacobians sigma M.  params.B may be an array broadcasting against x[0]."""
-    M, _ = energy_casimir_hessian(x, params, V)
-    a, b = char_coefficients(poisson_matrix(x, params) @ M)
-    return a, b, classify(a, b, tol.classify)
-
-
 def _check_residual(residual, tol: Tolerances) -> None:
     """Raise ResidualTooLarge unless the residual (a float or an array) passes the record cut."""
     kept = passes_residual_cut(residual, tol)
@@ -110,87 +84,113 @@ def _check_residual(residual, tol: Tolerances) -> None:
 
 
 def energy_casimir_hessian(x, params, V: Potential):
-    """M = D2H - lam D2C, lam = grad H . grad C / |grad C|^2, at
-    equilibria x of shape (5, ...), with shape (..., 5, 5), and grad C with
-    its component axis last.  params.B may be an array broadcasting
-    against x[0].  For one state x, a tuple of floats, lam is a float,
-    summed left to right from 0.0 as numpy sums five terms."""
-    gH, gC = grad_hamiltonian(x, params, V), grad_casimir(x, params)
-    if isinstance(x, tuple):
-        (h0, h1, h2, h3, h4), (g0, g1, g2, g3, g4) = gH, gC
-        # written out: from Python 3.12, sum() of floats compensates rounding
-        dot = 0.0 + h0 * g0 + h1 * g1 + h2 * g2 + h3 * g3 + h4 * g4
-        norm2 = 0.0 + g0 * g0 + g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4
-        lam = dot / norm2 if norm2 else math.nan         # numpy's 0/0
-        gC = np.array(gC)
-    else:
-        gH, gC = np.array(gH), np.array(gC)
-        last = (*range(1, gC.ndim), 0)                  # puts the component axis last
-        gH, gC = gH.transpose(last), gC.transpose(last)
-        lam = ((gH * gC).sum(axis=-1) / (gC * gC).sum(axis=-1))[..., None, None]
-    return hessian_hamiltonian(x, params, V) - lam * hessian_casimir(x, params), gC
+    """The blocks A on (m1, p) and K on (m2, m3, q) of M = D2H - lam D2C,
+    lam = grad H . grad C / |grad C|^2, as lists of rows, and grad C, at
+    states x = (m1, m2, m3, q, p) of floats or arrays.  params.B may be an
+    array broadcasting against x[0]."""
+    (h0, h1, h2, h3, h4), gC = grad_hamiltonian(x, params, V), grad_casimir(x, params)
+    g0, g1, g2, g3, g4 = gC
+    # written out left to right: from Python 3.12, sum() of floats compensates rounding
+    dot = h0 * g0 + h1 * g1 + h2 * g2 + h3 * g3 + h4 * g4
+    norm2 = g0 * g0 + g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4
+    lam = math.nan if isinstance(norm2, float) and not norm2 else dot / norm2   # numpy's 0/0
+    A, K = ([[h - lam * c for h, c in zip(rh, rc)] for rh, rc in zip(bh, bc)]
+            for bh, bc in zip(hessian_hamiltonian(x, params, V), hessian_casimir(x, params)))
+    return A, K, gC
 
 
-def _restricted_eigenvalues(M: np.ndarray, gC: np.ndarray) -> np.ndarray:
-    """The eigenvalues of the Hessians M restricted to the complements of
-    grad C, shape (..., 4).  With n = grad C/|grad C| and P = I - n n^T, the
-    four smallest eigenvalues of P M P + c n n^T, c = 1 + |M|_F > |M|_2,
-    are those of M on n's complement: n is the fifth eigenvector, with
-    eigenvalue c."""
-    nn = gC[..., :, None] * gC[..., None, :] / (gC * gC).sum(axis=-1)[..., None, None]
-    P = np.eye(5) - nn
-    c = 1.0 + np.sqrt((M * M).sum(axis=(-2, -1)))
-    return np.linalg.eigvalsh(P @ M @ P + c[..., None, None] * nn)[..., :4]
+def _blocks(x, params, V: Potential):
+    """A, K, the block X of sigma and the (m2, m3, q) part of grad C at
+    states x with m1 = p = 0 (DomainError otherwise), floats or arrays."""
+    off = (x[0] != 0) | (x[4] != 0)
+    if off if isinstance(off, bool) else off.any():
+        raise DomainError("the block form of sigma M needs m1 = p = 0, as at every equilibrium")
+    A, K, gC = energy_casimir_hessian(x, params, V)
+    return A, K, poisson_blocks(x, params)[0], gC[1:4]
 
 
-def _signature(w, tol: Tolerances) -> tuple[int, int, int]:
-    """`_signatures` read off four restricted eigenvalues w, as floats."""
-    if abs(w[0] * w[1] * w[2] * w[3]) < 1e-10:
-        return 0, 0, 4
-    plus = sum(v > tol.eigenvalue for v in w)
-    minus = sum(v < -tol.eigenvalue for v in w)
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _coefficients(A, K, X):
+    """(a, b) of x(-x^4 + a x^2 + b) = -det(x - J), a = -tr N and b = -det N
+    with N = G A and G = X K X^T, and the rows of X K."""
+    XK = [[_dot(row, col) for col in K] for row in X]     # K is symmetric
+    (g11, g12), (g21, g22) = [[_dot(u, v) for v in X] for u in XK]
+    (a11, a12), (a21, a22) = A
+    a = -(g11 * a11 + g12 * a21 + g21 * a12 + g22 * a22)
+    b = -((g11 * g22 - g12 * g21) * (a11 * a22 - a12 * a21))
+    return a, b, XK
+
+
+def _jacobian(A, XK, X) -> np.ndarray:
+    """J = [[0, X K], [-X^T A, 0]] over (m1, p) and (m2, m3, q), as the 5x5
+    array in the order (m1, m2, m3, q, p), for one record."""
+    (a11, a12), (a21, a22) = A
+    rows = [(-(u * a11 + v * a21), 0.0, 0.0, 0.0, -(u * a12 + v * a22)) for u, v in zip(*X)]
+    return np.array([(0.0, *XK[0], 0.0), *rows, (0.0, *XK[1], 0.0)])
+
+
+def _eigenvalues(t, d):
+    """The two eigenvalues of a symmetric 2x2 matrix of trace t and determinant d."""
+    h = t / 2
+    r2 = h * h - d
+    r = mathlib(r2).sqrt(r2 * (r2 > 0))          # rounding can leave r2 just below 0
+    return h - r, h + r
+
+
+def _signature(A, K, g, tol: Tolerances):
+    """(n_plus, n_minus, n_zero) of M restricted to the complement of grad C
+    (g its (m2, m3, q) part), or (0, 0, 4) where that is singular: the
+    eigenvalues of A and of K compressed onto the plane normal to n = g/|g|,
+    of trace tr K - n^T K n and determinant n^T adj(K) n."""
+    (a11, a12), (_, a22) = A
+    (k11, k12, k13), (_, k22, k23), (_, _, k33) = K        # both symmetric
+    adj = ((k22 * k33 - k23 * k23, k13 * k23 - k12 * k33, k12 * k23 - k13 * k22),
+           (k13 * k23 - k12 * k33, k11 * k33 - k13 * k13, k12 * k13 - k11 * k23),
+           (k12 * k23 - k13 * k22, k12 * k13 - k11 * k23, k11 * k22 - k12 * k12))
+    gg = _dot(g, g)
+    tK = k11 + k22 + k33 - _dot(g, [_dot(row, g) for row in K]) / gg
+    dK = _dot(g, [_dot(row, g) for row in adj]) / gg
+    dA = a11 * a22 - a12 * a12
+    w = (*_eigenvalues(a11 + a22, dA), *_eigenvalues(tK, dK))
+    regular = 1 - (abs(dA * dK) < 1e-10)             # dA dK: the four eigenvalues' product
+    plus = sum(v > tol.eigenvalue for v in w) * regular
+    minus = sum(v < -tol.eigenvalue for v in w) * regular
     return plus, minus, 4 - plus - minus
 
 
-def _signatures(M: np.ndarray, gC: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Signatures of the Hessians M restricted to the complements of grad C,
-    shape (..., 3); (0, 0, 4) wherever the restriction is singular."""
-    w = _restricted_eigenvalues(M, gC)
-    side = np.where(np.abs(w) > tol.eigenvalue, np.sign(w), 0.0)    # +1, -1 or 0
-    sig = (side[..., None] == (1.0, -1.0, 0.0)).sum(axis=-2)
-    singular = np.abs(w.prod(axis=-1)) < 1e-10
-    return np.where(singular[..., None], (0, 0, 4), sig)
+def stability_arrays(x, params, V: Potential, tol: Tolerances = DEFAULT_TOL):
+    """(a, b) and classes at equilibria x of shape (5, ...).  params.B may
+    be an array broadcasting against x[0]."""
+    a, b, _ = _coefficients(*_blocks(x, params, V)[:3])
+    return a, b, classify(a, b, tol.classify)
 
 
-def hessian_signature(
-    record: EquilibriumRecord,
-    V: Potential,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[int, int, int]:
+def hessian_signature(record: EquilibriumRecord, V: Potential,
+                      tol: Tolerances = DEFAULT_TOL) -> tuple[int, int, int]:
     """The signature of `linearize` at one residual-checked equilibrium."""
     return linearize(record, V, tol).hessian_signature
 
 
-def linearize(
-    record: EquilibriumRecord,
-    V: Potential,
-    tol: Tolerances = DEFAULT_TOL,
-) -> LinearizationReport:
-    """Full linear analysis at an equilibrium, from one Hessian M: the
-    Jacobian sigma M and the signature of M.  The record's state must be an
-    equilibrium under V: its residual under V, from one `rhs` call, must
-    pass the record cut (ResidualTooLarge otherwise)."""
+def linearize(record: EquilibriumRecord, V: Potential,
+              tol: Tolerances = DEFAULT_TOL) -> LinearizationReport:
+    """Full linear analysis at an equilibrium, from the blocks of one
+    Hessian M: the Jacobian sigma M, (a, b), the class and the signature of
+    M.  The record's state must be an equilibrium under V: its residual
+    under V, from one `rhs` call, must pass the record cut
+    (ResidualTooLarge otherwise)."""
     s, params = record.state, record.params
     x = (s.m1, s.m2, s.m3, s.q, s.p)
     _check_residual(residual(x, params, V), tol)
-    M, gC = energy_casimir_hessian(x, params, V)
-    J = poisson_matrix(x, params) @ M
-    a, b = char_coefficients(J)
+    A, K, X, g = _blocks(x, params, V)
+    a, b, XK = _coefficients(A, K, X)
     return LinearizationReport(
-        jacobian=J,
+        jacobian=_jacobian(A, XK, X),
         char_coeffs=(a, b),
         classification=classify(a, b, tol.classify),
-        hessian_signature=_signature(_restricted_eigenvalues(M, gC).tolist(), tol),
+        hessian_signature=_signature(A, K, g, tol),
     )
 
 
@@ -219,18 +219,17 @@ _COLUMNS = ("q", "B", "family", "a", "b", "class", "n_plus", "n_minus", "n_zero"
 
 def stability_rows(grid: GridEquilibria, V: Potential, tol: Tolerances = DEFAULT_TOL) -> List[dict]:
     """Rows of `stability_csv`, one per entry of a closed-form grid, from
-    one batched Hessian M: (a, b) and class from the Jacobians sigma M, and
-    the signatures of M.  As in `linearize`, the entries' residual is taken
-    under V, in one batch: ResidualTooLarge if an entry fails the cut."""
+    the batched blocks of M: (a, b), class and signature as `linearize`
+    gives them.  As in `linearize`, the entries' residual is taken under V,
+    in one batch: ResidualTooLarge if an entry fails the cut."""
     x, params = grid.states(), identical_params(grid.B)
     _check_residual(equilibrium_values(x, params, V)[2], tol)
-    M, gC = energy_casimir_hessian(x, params, V)
-    a, b = char_coefficients(poisson_matrix(x, params) @ M)
-    sigs = _signatures(M, gC, tol)
+    A, K, X, g = _blocks(x, params, V)
+    a, b, _ = _coefficients(A, K, X)
+    sigs = (n.tolist() for n in _signature(A, K, g, tol))
     classes = [c.value for c in classify(a, b, tol.classify)]
     families = [f.value for f in grid.family]
-    cols = zip(grid.q.tolist(), grid.B.tolist(), families, a.tolist(), b.tolist(), classes,
-               *sigs.T.tolist())
+    cols = zip(grid.q.tolist(), grid.B.tolist(), families, a.tolist(), b.tolist(), classes, *sigs)
     return [dict(zip(_COLUMNS, row)) for row in cols]
 
 

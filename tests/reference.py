@@ -5,16 +5,19 @@ otherwise.  The RK4 loop with its stages summed by generators over zip,
 and the sphere projection as one loop over particles: the integrators'
 states must equal theirs bit for bit.  The general solver's per-record
 steps and `linearize` on numpy scalars and arrays: the records and reports
-of the float path must equal theirs bit for bit."""
+of the float path must equal theirs bit for bit.  The 5x5 route to
+stability that the block kernels of `stability` replaced: D2H, D2C, sigma
+and M as 5x5 arrays, (a, b) by Newton's identities on tr J^k of J = sigma
+M, and the signature from one eigvalsh of P M P + c n n^T."""
 
 import math
 from array import array
 
 import numpy as np
 
-from magsphere import stability
+from magsphere import reduced, stability
 from magsphere.core import DEFAULT_TOL, NonFiniteState, ResidualTooLarge
-from magsphere.reduced import casimir_array, hamiltonian_array, poisson_matrix, rhs
+from magsphere.reduced import casimir_array, hamiltonian_array, rhs
 
 
 def derivative_matrix(f, x, analytic: bool) -> np.ndarray:
@@ -141,16 +144,113 @@ def equilibrium_values(x, params, V):
 
 def linearize(record, V, tol=DEFAULT_TOL):
     """`stability.linearize` that trusts the record's stored residual and
-    runs the batched kernels on its state as a batch of one."""
+    runs the block kernels on its state as a batch of one; J from the
+    blocks' entries as numpy scalars."""
     if not record.residual < tol.record_residual:
         raise ResidualTooLarge(f"record residual {record.residual}")
     x = record.state.as_array()[:, None]
-    M, gC = stability.energy_casimir_hessian(x, record.params, V)
-    J = (poisson_matrix(x, record.params) @ M)[0]
-    a, b = stability.char_coefficients(J)
+    A, K, X, g = stability._blocks(x, record.params, V)
+    a, b, XK = stability._coefficients(A, K, X)
+    first = lambda blocks: [[np.asarray(v).reshape(-1)[0] for v in row] for row in blocks]
     return stability.LinearizationReport(
-        jacobian=J,
-        char_coeffs=(a, b),
-        classification=stability.classify(a, b, tol.classify),
-        hessian_signature=tuple(stability._signatures(M, gC, tol)[0].tolist()),
+        jacobian=stability._jacobian(first(A), first(XK), first(X)),
+        char_coeffs=(a[0], b[0]),
+        classification=stability.classify(a, b, tol.classify)[0],
+        hessian_signature=tuple(int(n[0]) for n in stability._signature(A, K, g, tol)),
     )
+
+
+U, W = (0, 4), (1, 2, 3)      # the indices of (m1, p) and of (m2, m3, q)
+
+
+def _matrix(uu, uw, wu, ww) -> np.ndarray:
+    """The 5x5 matrices, in the order (m1, m2, m3, q, p), of the blocks uu
+    on (m1, p) x (m1, p), uw on (m1, p) x (m2, m3, q), wu and ww likewise:
+    tuples of rows of floats or arrays, or None for a zero block.  Shape
+    (..., 5, 5), the entries' broadcast shape first."""
+    blocks = [(rows, I, J) for rows, I, J in ((uu, U, U), (uw, U, W), (wu, W, U), (ww, W, W))
+              if rows is not None]
+    values = [v for rows, _, _ in blocks for row in rows for v in row]
+    D = np.zeros(np.broadcast_shapes(*map(np.shape, values)) + (5, 5),
+                 dtype=np.result_type(*values, 0.0))
+    for rows, I, J in blocks:
+        for i, row in zip(I, rows):
+            for j, v in zip(J, row):
+                D[..., i, j] = v
+    return D
+
+
+def hessian_hamiltonian(x, params, V) -> np.ndarray:
+    A, K = reduced.hessian_hamiltonian(x, params, V)
+    return _matrix(A, None, None, K)
+
+
+def hessian_casimir(x, params) -> np.ndarray:
+    A, K = reduced.hessian_casimir(x, params)
+    return _matrix(A, None, None, K)
+
+
+def poisson_matrix(x, params) -> np.ndarray:
+    X, Y = reduced.poisson_blocks(x, params)
+    return _matrix(None, X, tuple(zip(*((-v for v in row) for row in X))), Y)
+
+
+def energy_casimir_hessian(x, params, V):
+    """M of `stability.energy_casimir_hessian` as 5x5 arrays, and grad C
+    with its component axis last."""
+    A, K, gC = stability.energy_casimir_hessian(x, params, V)
+    return _matrix(A, None, None, K), np.moveaxis(np.broadcast_arrays(*gC), 0, -1)
+
+
+def char_coefficients(J: np.ndarray):
+    """(a, b) of x(-x^4 + a x^2 + b), the characteristic polynomial of
+    Jacobians J of shape (..., 5, 5) after deflating the zero root that the
+    Casimir forces.
+
+    The coefficients c1..c4 of det(x - J) = x^5 + c1 x^4 + ... + c5 follow
+    from the power sums p_k = tr J^k by Newton's identities; a = -c2 and
+    b = -c4.  Scalar for one Jacobian, arrays of shape (...) for a batch.
+    """
+    J2 = J @ J
+    p1 = J.trace(axis1=-2, axis2=-1)
+    p2 = J2.trace(axis1=-2, axis2=-1)
+    p3 = (J2 * J.swapaxes(-1, -2)).sum(axis=(-2, -1))
+    p4 = (J2 * J2.swapaxes(-1, -2)).sum(axis=(-2, -1))
+    c1 = -p1
+    c2 = -(c1 * p1 + p2) / 2
+    c3 = -(c2 * p1 + c1 * p2 + p3) / 3
+    c4 = -(c3 * p1 + c2 * p2 + c1 * p3 + p4) / 4
+    if J.ndim == 2:
+        return -float(c2), -float(c4)
+    return -c2, -c4
+
+
+def restricted_eigenvalues(M: np.ndarray, gC: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the Hessians M restricted to the complements of
+    grad C, shape (..., 4).  With n = grad C/|grad C| and P = I - n n^T, the
+    four smallest eigenvalues of P M P + c n n^T, c = 1 + |M|_F > |M|_2,
+    are those of M on n's complement: n is the fifth eigenvector, with
+    eigenvalue c."""
+    nn = gC[..., :, None] * gC[..., None, :] / (gC * gC).sum(axis=-1)[..., None, None]
+    P = np.eye(5) - nn
+    c = 1.0 + np.sqrt((M * M).sum(axis=(-2, -1)))
+    return np.linalg.eigvalsh(P @ M @ P + c[..., None, None] * nn)[..., :4]
+
+
+def signatures(M: np.ndarray, gC: np.ndarray, tol) -> np.ndarray:
+    """Signatures of the Hessians M restricted to the complements of grad C,
+    shape (..., 3); (0, 0, 4) wherever the restriction is singular."""
+    w = restricted_eigenvalues(M, gC)
+    side = np.where(np.abs(w) > tol.eigenvalue, np.sign(w), 0.0)    # +1, -1 or 0
+    sig = (side[..., None] == (1.0, -1.0, 0.0)).sum(axis=-2)
+    singular = np.abs(w.prod(axis=-1)) < 1e-10
+    return np.where(singular[..., None], (0, 0, 4), sig)
+
+
+def linearize_5x5(x, params, V, tol=DEFAULT_TOL):
+    """The 5x5 route at equilibria x of shape (5, ...): J = sigma M, (a, b)
+    by `char_coefficients`, their classes, and `signatures`."""
+    M, gC = energy_casimir_hessian(x, params, V)
+    J = poisson_matrix(x, params) @ M
+    a, b = char_coefficients(J)
+    return J, (a, b), stability.classify(a, b, tol.classify), signatures(M, gC, tol)

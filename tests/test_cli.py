@@ -77,6 +77,27 @@ def test_unknown_config_key_rejected(tmp_path):
             parse_config(["equilibria", "--config", str(f)])
 
 
+@pytest.mark.parametrize("argv, values", [
+    (["atlas", "--diagram", "ec"], {"B": "2.5"}),
+    (["atlas", "--diagram", "ec"], {"B": True}),
+    (["simulate", "--q", "1.4", "--m3", "0.5", "--t-end", "0.01"], {"fullspace": "no"}),
+    (["stability", "--grid-B", "1:4:3"], {"grid_q": 5}),
+    (["equilibria", "--B", "2.5", "--q", "1.0"], {"family": 1}),
+], ids=["str-float", "bool-float", "str-bool", "int-grid", "int-str"])
+def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, argv, values):
+    """Each --config value must have its field's type (an int stands for a
+    float): exit 1 with a config error and write nothing.  A string B was a
+    TypeError traceback, and fullspace "no" counted as true."""
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(values))
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--config", str(f), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert list(tmp_path.iterdir()) == [f]
+    f.write_text(json.dumps({"B": 2}))
+    assert parse_config(["atlas", "--diagram", "ec", "--config", str(f)]).B == 2
+
+
 def test_simulate_writes_trajectory(tmp_path):
     out = tmp_path / "traj.csv"
     code = main(

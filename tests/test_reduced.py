@@ -23,7 +23,6 @@ from magsphere.reduced import (
     grad_hamiltonian,
     hamiltonian_array,
     integrate,
-    poisson_matrix,
     residual,
     rhs,
 )
@@ -31,6 +30,7 @@ from magsphere.stability import stability_csv, stability_rows, type1_boundary
 
 import reference
 from conftest import orbit_states, per_value_csv, random_states
+from reference import poisson_matrix
 
 GENERAL = SystemParams(1.3, 0.7, 1.0, -2.0, 0.9)
 

@@ -28,19 +28,20 @@ from magsphere.equilibria import (
 from magsphere.reduced import grad_casimir, grad_hamiltonian, rhs
 from magsphere.stability import (
     Classification,
-    _signatures,
-    char_coefficients,
+    _blocks,
+    _signature,
     classify,
-    energy_casimir_hessian,
     hessian_signature,
     linearize,
     stability_csv,
+    stability_arrays,
     stability_rows,
     threshold_stability,
     type1_boundary,
 )
 
-from reference import derivative_matrix, jacobian_matrix
+import reference
+from reference import char_coefficients, derivative_matrix, jacobian_matrix
 
 
 def test_classify_table():
@@ -89,18 +90,23 @@ def test_batched_jacobian_matches_single_states(rng):
 
 
 def test_char_coefficients_match_np_poly_on_acceptance_grid():
-    """Newton's identities on tr J^k against the np.poly expansion, over the
-    Jacobians of every closed-form record of the acceptance grid."""
+    """Newton's identities on tr J^k (the 5x5 route, `reference`) and the
+    block kernel (`stability_arrays`) against the np.poly expansion, over
+    the Jacobians of every closed-form record of the acceptance grid."""
     grid = closed_form_grid(np.linspace(0.2, np.pi - 0.2, 50), np.linspace(0.1, 5.0, 50))
     keep = grid.residual <= 1e-9
     params = identical_params(grid.B[keep])
-    J = jacobian_matrix(grid.states()[:, keep], params, cot_potential(params))
+    x = grid.states()[:, keep]
+    J = jacobian_matrix(x, params, cot_potential(params))
     assert len(J) > 5000
     a, b = char_coefficients(J)
+    block_a, block_b, _ = stability_arrays(x, params, cot_potential(params))
     for k in range(len(J)):
         c = np.poly(J[k])
         assert a[k] == pytest.approx(-c[2], rel=1e-10)
         assert b[k] == pytest.approx(-c[4], rel=1e-10)
+        assert block_a[k] == pytest.approx(-c[2], rel=1e-10)
+        assert block_b[k] == pytest.approx(-c[4], rel=1e-10)
 
 
 def test_linearize_spectrum_structure(params, V):
@@ -123,6 +129,22 @@ def test_zero_mode_aligns_with_casimir_gradient(params, V):
     g = grad_casimir(rec.state.as_array(), params)
     cosang = abs(u @ g) / (np.linalg.norm(u) * np.linalg.norm(g))
     assert np.arccos(min(cosang, 1.0)) < 1e-6
+
+
+def test_states_off_the_block_form_are_domain_errors():
+    """The blocks hold at m1 = p = 0, where every relative equilibrium
+    lies: a state with m1 or p nonzero is a DomainError, in `linearize`
+    also where it passes the residual cut, and in a batch if one entry is."""
+    rec = type1(1.0, 2.5)[0]
+    V = cot_potential(rec.params)
+    for field in ("m1", "p"):
+        off = dataclasses.replace(rec, state=rec.state.replace(**{field: 1e-12}))
+        assert max(np.abs(rhs(off.state.as_array(), rec.params, V))) < DEFAULT_TOL.record_residual
+        with pytest.raises(DomainError, match="m1 = p = 0"):
+            linearize(off, V)
+        x = np.stack([rec.state.as_array(), off.state.as_array()], axis=-1)
+        with pytest.raises(DomainError, match="m1 = p = 0"):
+            stability_arrays(x, rec.params, V)
 
 
 def test_linearize_rejects_bad_records(params, V):
@@ -183,9 +205,22 @@ def test_stability_curves_check_q_first(curve, q):
             curve(q)
 
 
+@pytest.mark.parametrize("q", [Q_EDGE, 1.05e-8])
+def test_type2_threshold_raises_where_it_is_not_finite(q):
+    """Just inside the guard, up to about 1.05e-8, 1 - cos q rounds to 0:
+    type2_threshold raises DomainError there, with no warning, where it
+    used to return inf with a divide-by-zero warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            type2_threshold(q)
+    assert np.isfinite(type2_threshold(1.06e-8))
+
+
 def test_stability_curves_keep_their_values():
     """On a dense grid of the guarded interval, each curve gives, bit for
-    bit, its closed form on numpy scalars as it was before it checked q."""
+    bit, its closed form on numpy scalars as it was before it checked q,
+    wherever that is finite."""
     def threshold(q):
         return 2.0 * np.sqrt(1.0 / (np.sin(q) * (1.0 - np.cos(q))))
 
@@ -194,8 +229,10 @@ def test_stability_curves_keep_their_values():
         return float(np.sqrt(c**3 * (2 + c) / (2 * s**3 * np.sin(q / 2) ** 2)))
 
     q = np.linspace(Q_EDGE, np.pi - Q_EDGE, 20001).tolist()
-    with np.errstate(divide="ignore"):          # 1 - cos(Q_EDGE) is 0: inf, as before
-        assert [type2_threshold(v) for v in q] == [threshold(v) for v in q]
+    with np.errstate(divide="ignore"):          # 1 - cos(Q_EDGE) is 0: inf
+        want = [threshold(v) for v in q]
+    assert not np.isfinite(want[0]) and np.isfinite(want[1:]).all()
+    assert [type2_threshold(v) for v in q[1:]] == want[1:]
     left = [v for v in q if v < np.pi / 2]
     assert [type1_boundary(v) for v in left] == [boundary(v) for v in left]
 
@@ -361,8 +398,8 @@ def test_signature_at_the_meeting_point_is_singular():
     assert linearize(rec, V).hessian_signature == (0, 0, 4)
     x = np.stack([rec.state.as_array(), type2(1.8, 2.5)[0].state.as_array()], axis=-1)
     params = identical_params(np.array([B_CRITICAL, 2.5]))
-    sigs = _signatures(*energy_casimir_hessian(x, params, V), DEFAULT_TOL)
-    assert sigs.tolist() == [[0, 0, 4], [4, 0, 0]]
+    A, K, _, g = _blocks(x, params, V)
+    assert np.transpose(_signature(A, K, g, DEFAULT_TOL)).tolist() == [[0, 0, 4], [4, 0, 0]]
 
 
 def test_type2_boundaries_emanate_from_degenerate_point():
@@ -429,6 +466,83 @@ def _general_cases(seed, nodes=400):
                               rng.choice([-1, 1]) * rng.uniform(0.5, 2), rng.uniform(0.1, 5))
         cases.append((q, params, table if len(cases) % 2 else cot_potential(params)))
     return [(r, V) for q, params, V in cases for r in solve_general(q, params, V)]
+
+
+# (a, b) of the block kernels against those of the 5x5 route, relative to
+# max(|a|, |b|).  The 5x5 route takes b = -c4 from Newton's identities on the
+# power sums tr J^k, which reach 500 max(|a|, |b|) on criterion 12's records;
+# each sums some tens of rounded products, so that route alone may be off by
+# about 500 x 100 eps = 1e-11.  The block route is the closer one
+# (`test_block_route_is_closer_to_exact_arithmetic`).  Measured worst:
+# 2.3e-13 on the README grid and 2.5e-12 on the records.
+AB_BOUND = 1e-11
+
+
+def test_block_route_equals_the_5x5_route():
+    """The block kernels against the 5x5 route they replaced
+    (`reference.linearize_5x5`): `stability_rows` on the README `stability`
+    grid, 0.3:3.0:60 x 0.5:5:40 (7 114 entries), and `linearize` on criterion
+    12's solve_general records under cot and the 256-node table.  Every
+    class and signature is equal, and (a, b) are within AB_BOUND."""
+    grid = closed_form_grid(np.linspace(0.3, 3.0, 60), np.linspace(0.5, 5, 40)).cut()
+    params = identical_params(grid.B)
+    rows = stability_rows(grid, cot_potential(params))
+    _, (a, b), classes, sigs = reference.linearize_5x5(grid.states(), params, cot_potential(params))
+    got = [((r["a"], r["b"]), r["class"], (r["n_plus"], r["n_minus"], r["n_zero"])) for r in rows]
+    want = list(zip(zip(a, b), [c.value for c in classes], map(tuple, sigs.tolist())))
+    cases = _general_cases(12, nodes=256)
+    for rec, V in cases:
+        rep = linearize(rec, V)
+        _, ab, cls, sig = reference.linearize_5x5(rec.state.as_array(), rec.params, V)
+        got.append((rep.char_coeffs, rep.classification.value, rep.hessian_signature))
+        want.append((ab, cls.value, tuple(sig.tolist())))
+    assert len(got) == len(want) == 7114 + len(cases) and len(cases) > 400
+    assert [g[1:] for g in got] == [w[1:] for w in want]
+    assert len({g[1:] for g in got}) > 3
+    err = [max(abs(g[0][0] - w[0][0]), abs(g[0][1] - w[0][1])) / max(abs(w[0][0]), abs(w[0][1]))
+           for g, w in zip(got, want)]
+    assert max(err) <= AB_BOUND
+
+
+def test_block_route_is_closer_to_exact_arithmetic():
+    """On every 4th of criterion 12's records (cot and the 256-node table),
+    in exact arithmetic (sympy): D2H and D2C couple neither m1 nor p to (m2,
+    m3, q), and grad C has no m1 or p component there, so M = A (+) K and
+    sigma is block off-diagonal; and the (a, b) of both routes against the
+    exact characteristic polynomial of sigma M on the rationals of the
+    float entries of sigma and M.  Both are within AB_BOUND of
+    max(|a|, |b|), and the block route is closer in the median.  Measured
+    on all 552 records: block worst 6.8e-13 and median 2.6e-16, Newton's
+    identities 2.5e-12 and 4.9e-16; the block route is closer on 359 and
+    equal on 43."""
+    sp = pytest.importorskip("sympy")
+    x = m1, m2, m3, q, p = sp.symbols("m1 m2 m3 q p")
+    mu1, mu2, e1, e2, B = sp.symbols("mu1 mu2 e1 e2 B")
+    cot = sp.cot(q)
+    H = ((mu2 * ((m1 - p) ** 2 + m2**2) + m3 * (-2 * mu2 * m2 * cot + mu1 * m3 / sp.sin(q) ** 2
+          + mu2 * m3 * cot**2)) / (2 * mu1 * mu2) + p**2 / (2 * mu2) + sp.Function("V")(q))
+    C = m1**2 + (m2 - B * e2 * sp.sin(q)) ** 2 + (m3 + B * (e1 + e2 * sp.cos(q))) ** 2
+    off = [f for D in (sp.hessian(H, x), sp.hessian(C, x)) for i in (0, 4) for f in D[i, 1:4]]
+    grad_C = [sp.diff(C, v) for v in (m1, p)]
+    errors = []
+    for rec, V in _general_cases(12, nodes=256)[::4]:
+        s = rec.state
+        point = {m1: 0, p: 0, m2: sp.Rational(s.m2), m3: sp.Rational(s.m3), q: sp.Rational(s.q)}
+        assert all(f.subs(point) == 0 for f in off + grad_C)
+        state = (s.m1, s.m2, s.m3, s.q, s.p)
+        sigma, M = (sp.Matrix(5, 5, [sp.Rational(v) for v in D.ravel().tolist()])
+                    for D in (reference.poisson_matrix(state, rec.params),
+                              reference.energy_casimir_hessian(state, rec.params, V)[0]))
+        c = (sigma * M).charpoly().all_coeffs()
+        exact = (-c[2], -c[4])
+        scale = max(abs(exact[0]), abs(exact[1]))
+        block = linearize(rec, V).char_coeffs
+        newton = reference.linearize_5x5(s.as_array(), rec.params, V)[1]
+        errors.append([float(max(abs(sp.Rational(float(r[k])) - exact[k]) for k in (0, 1)) / scale)
+                       for r in (block, newton)])
+    errors = np.array(errors)
+    assert len(errors) > 100 and errors.max() <= AB_BOUND
+    assert np.median(errors[:, 0]) <= np.median(errors[:, 1])
 
 
 def test_general_records_do_not_depend_on_the_charges_numeric_type():
