@@ -8,18 +8,21 @@ m1 = p = 0, as at every relative equilibrium, sigma is [[0, X], [-X^T, 0]]
 and grad C lies in K's coordinates (`reduced`).  So the characteristic
 polynomial x(-x^4 + a x^2 + b) has a = -tr N and b = -det N, N = X K X^T A,
 and the restricted Hessian has the eigenvalues of A and of K compressed
-onto the plane normal to grad C.  One source serves one record as floats
-(`linearize`) and a batch as arrays (`core.mathlib`).  J = sigma M holds
-only at equilibria of the potential passed in, so `linearize` and
-`stability_rows` take the residual under it.  Nothing here differentiates
-numerically.
+onto the plane normal to grad C.  Each entry is one straight-line
+expression over named entries, so one source serves one record as floats
+(`linearize`) and a batch as arrays (`core.mathlib`), bit for bit.  The
+5x5 J = [[0, X K], [-X^T A, 0]] is built only when a report's `jacobian`
+is read.  J = sigma M holds only at equilibria of the potential passed in,
+so `linearize` and `stability_rows` take the residual under it.  Nothing
+here differentiates numerically.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, List
 
@@ -37,9 +40,9 @@ from .core import (
     identical_params,
     mathlib,
 )
-from .equilibria import EquilibriumRecord, GridEquilibria, equilibrium_values, passes_residual_cut
+from .equilibria import EquilibriumRecord, GridEquilibria, passes_residual_cut
 from .reduced import (grad_casimir, grad_hamiltonian, hessian_casimir, hessian_hamiltonian,
-                      poisson_blocks, residual, rhs)  # perfbench's tracer test reads stability.rhs
+                      poisson_blocks, residual, rhs)
 
 
 class Classification(Enum):
@@ -50,10 +53,17 @@ class Classification(Enum):
 
 @dataclass(frozen=True)
 class LinearizationReport:
-    jacobian: np.ndarray
+    """What `linearize` finds at one equilibrium.  The 5x5 Jacobian J =
+    sigma M is built from the blocks (A, X K, X) when `jacobian` is first
+    read, and kept: (a, b), the class and the signature do not need it."""
     char_coeffs: tuple[float, float]       # (a, b) of x(-x^4 + a x^2 + b)
     classification: Classification
     hessian_signature: tuple[int, int, int]
+    _jacobian_blocks: tuple = field(repr=False, compare=False)     # (A, X K, X)
+
+    @cached_property
+    def jacobian(self) -> np.ndarray:
+        return _jacobian(*self._jacobian_blocks)
 
 
 _CLASSES = np.array(
@@ -85,18 +95,26 @@ def _check_residual(residual, tol: Tolerances) -> None:
 
 def energy_casimir_hessian(x, params, V: Potential):
     """The blocks A on (m1, p) and K on (m2, m3, q) of M = D2H - lam D2C,
-    lam = grad H . grad C / |grad C|^2, as lists of rows, and grad C, at
+    lam = grad H . grad C / |grad C|^2, as tuples of rows, and grad C, at
     states x = (m1, m2, m3, q, p) of floats or arrays.  params.B may be an
-    array broadcasting against x[0]."""
+    array broadcasting against x[0].  Both Hessians are symmetric, entry
+    for entry, so each entry of M is formed once, above the diagonal."""
     (h0, h1, h2, h3, h4), gC = grad_hamiltonian(x, params, V), grad_casimir(x, params)
     g0, g1, g2, g3, g4 = gC
     # written out left to right: from Python 3.12, sum() of floats compensates rounding
     dot = h0 * g0 + h1 * g1 + h2 * g2 + h3 * g3 + h4 * g4
     norm2 = g0 * g0 + g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4
     lam = math.nan if isinstance(norm2, float) and not norm2 else dot / norm2   # numpy's 0/0
-    A, K = ([[h - lam * c for h, c in zip(rh, rc)] for rh, rc in zip(bh, bc)]
-            for bh, bc in zip(hessian_hamiltonian(x, params, V), hessian_casimir(x, params)))
-    return A, K, gC
+    # u: the block on (m1, p), w: on (m2, m3, q)
+    ((hu11, hu12), (_, hu22)), ((hw11, hw12, hw13), (_, hw22, hw23), (_, _, hw33)) = \
+        hessian_hamiltonian(x, params, V)
+    ((cu11, cu12), (_, cu22)), ((cw11, cw12, cw13), (_, cw22, cw23), (_, _, cw33)) = \
+        hessian_casimir(x, params)
+    # lam times D2C's zeros stays: it keeps NaN where lam is NaN, as a full product does
+    a11, a12, a22 = hu11 - lam * cu11, hu12 - lam * cu12, hu22 - lam * cu22
+    k11, k12, k13 = hw11 - lam * cw11, hw12 - lam * cw12, hw13 - lam * cw13
+    k22, k23, k33 = hw22 - lam * cw22, hw23 - lam * cw23, hw33 - lam * cw33
+    return ((a11, a12), (a12, a22)), ((k11, k12, k13), (k12, k22, k23), (k13, k23, k33)), gC
 
 
 def _blocks(x, params, V: Potential):
@@ -109,19 +127,22 @@ def _blocks(x, params, V: Potential):
     return A, K, poisson_blocks(x, params)[0], gC[1:4]
 
 
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def _coefficients(A, K, X):
     """(a, b) of x(-x^4 + a x^2 + b) = -det(x - J), a = -tr N and b = -det N
-    with N = G A and G = X K X^T, and the rows of X K."""
-    XK = [[_dot(row, col) for col in K] for row in X]     # K is symmetric
-    (g11, g12), (g21, g22) = [[_dot(u, v) for v in X] for u in XK]
+    with N = G A and G = X K X^T, and the rows of X K.  Each product of
+    rows sums u1 v1 + u2 v2 + u3 v3, left to right."""
     (a11, a12), (a21, a22) = A
+    (k11, k12, k13), (_, k22, k23), (_, _, k33) = K        # symmetric
+    (x11, x12, x13), (x21, x22, x23) = X
+    y11, y12, y13 = (x11 * k11 + x12 * k12 + x13 * k13, x11 * k12 + x12 * k22 + x13 * k23,
+                     x11 * k13 + x12 * k23 + x13 * k33)
+    y21, y22, y23 = (x21 * k11 + x22 * k12 + x23 * k13, x21 * k12 + x22 * k22 + x23 * k23,
+                     x21 * k13 + x22 * k23 + x23 * k33)
+    g11, g12 = y11 * x11 + y12 * x12 + y13 * x13, y11 * x21 + y12 * x22 + y13 * x23
+    g21, g22 = y21 * x11 + y22 * x12 + y23 * x13, y21 * x21 + y22 * x22 + y23 * x23
     a = -(g11 * a11 + g12 * a21 + g21 * a12 + g22 * a22)
     b = -((g11 * g22 - g12 * g21) * (a11 * a22 - a12 * a21))
-    return a, b, XK
+    return a, b, ((y11, y12, y13), (y21, y22, y23))
 
 
 def _jacobian(A, XK, X) -> np.ndarray:
@@ -147,17 +168,22 @@ def _signature(A, K, g, tol: Tolerances):
     of trace tr K - n^T K n and determinant n^T adj(K) n."""
     (a11, a12), (_, a22) = A
     (k11, k12, k13), (_, k22, k23), (_, _, k33) = K        # both symmetric
-    adj = ((k22 * k33 - k23 * k23, k13 * k23 - k12 * k33, k12 * k23 - k13 * k22),
-           (k13 * k23 - k12 * k33, k11 * k33 - k13 * k13, k12 * k13 - k11 * k23),
-           (k12 * k23 - k13 * k22, k12 * k13 - k11 * k23, k11 * k22 - k12 * k12))
-    gg = _dot(g, g)
-    tK = k11 + k22 + k33 - _dot(g, [_dot(row, g) for row in K]) / gg
-    dK = _dot(g, [_dot(row, g) for row in adj]) / gg
+    g1, g2, g3 = g
+    c11, c12, c13 = k22 * k33 - k23 * k23, k13 * k23 - k12 * k33, k12 * k23 - k13 * k22
+    c22, c23, c33 = k11 * k33 - k13 * k13, k12 * k13 - k11 * k23, k11 * k22 - k12 * k12
+    gg = g1 * g1 + g2 * g2 + g3 * g3
+    gKg = (g1 * (k11 * g1 + k12 * g2 + k13 * g3) + g2 * (k12 * g1 + k22 * g2 + k23 * g3)
+           + g3 * (k13 * g1 + k23 * g2 + k33 * g3))
+    tK = k11 + k22 + k33 - gKg / gg
+    dK = (g1 * (c11 * g1 + c12 * g2 + c13 * g3) + g2 * (c12 * g1 + c22 * g2 + c23 * g3)
+          + g3 * (c13 * g1 + c23 * g2 + c33 * g3)) / gg
     dA = a11 * a22 - a12 * a12
-    w = (*_eigenvalues(a11 + a22, dA), *_eigenvalues(tK, dK))
+    (w1, w2), (w3, w4) = _eigenvalues(a11 + a22, dA), _eigenvalues(tK, dK)
     regular = 1 - (abs(dA * dK) < 1e-10)             # dA dK: the four eigenvalues' product
-    plus = sum(v > tol.eigenvalue for v in w) * regular
-    minus = sum(v < -tol.eigenvalue for v in w) * regular
+    e = tol.eigenvalue
+    # each count starts from the int 0: on arrays, bool + bool is a logical or
+    plus = (0 + (w1 > e) + (w2 > e) + (w3 > e) + (w4 > e)) * regular
+    minus = (0 + (w1 < -e) + (w2 < -e) + (w3 < -e) + (w4 < -e)) * regular
     return plus, minus, 4 - plus - minus
 
 
@@ -177,20 +203,20 @@ def hessian_signature(record: EquilibriumRecord, V: Potential,
 def linearize(record: EquilibriumRecord, V: Potential,
               tol: Tolerances = DEFAULT_TOL) -> LinearizationReport:
     """Full linear analysis at an equilibrium, from the blocks of one
-    Hessian M: the Jacobian sigma M, (a, b), the class and the signature of
-    M.  The record's state must be an equilibrium under V: its residual
-    under V, from one `rhs` call, must pass the record cut
-    (ResidualTooLarge otherwise)."""
+    Hessian M: (a, b), the class and the signature of M, and the Jacobian
+    sigma M, built when the report's `jacobian` is read.  The record's
+    state must be an equilibrium under V: its residual under V, from one
+    `rhs` call, must pass the record cut (ResidualTooLarge otherwise)."""
     s, params = record.state, record.params
     x = (s.m1, s.m2, s.m3, s.q, s.p)
     _check_residual(residual(x, params, V), tol)
     A, K, X, g = _blocks(x, params, V)
     a, b, XK = _coefficients(A, K, X)
     return LinearizationReport(
-        jacobian=_jacobian(A, XK, X),
         char_coeffs=(a, b),
         classification=classify(a, b, tol.classify),
         hessian_signature=_signature(A, K, g, tol),
+        _jacobian_blocks=(A, XK, X),
     )
 
 
@@ -220,10 +246,11 @@ _COLUMNS = ("q", "B", "family", "a", "b", "class", "n_plus", "n_minus", "n_zero"
 def stability_rows(grid: GridEquilibria, V: Potential, tol: Tolerances = DEFAULT_TOL) -> List[dict]:
     """Rows of `stability_csv`, one per entry of a closed-form grid, from
     the batched blocks of M: (a, b), class and signature as `linearize`
-    gives them.  As in `linearize`, the entries' residual is taken under V,
-    in one batch: ResidualTooLarge if an entry fails the cut."""
+    gives them.  As in `linearize`, the entries' residual max|rhs| is taken
+    under V, from one batched `rhs` call: ResidualTooLarge if an entry fails
+    the cut."""
     x, params = grid.states(), identical_params(grid.B)
-    _check_residual(equilibrium_values(x, params, V)[2], tol)
+    _check_residual(np.max(np.abs(rhs(x, params, V)), axis=0), tol)
     A, K, X, g = _blocks(x, params, V)
     a, b, _ = _coefficients(A, K, X)
     sigs = (n.tolist() for n in _signature(A, K, g, tol))

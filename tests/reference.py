@@ -153,10 +153,10 @@ def linearize(record, V, tol=DEFAULT_TOL):
     a, b, XK = stability._coefficients(A, K, X)
     first = lambda blocks: [[np.asarray(v).reshape(-1)[0] for v in row] for row in blocks]
     return stability.LinearizationReport(
-        jacobian=stability._jacobian(first(A), first(XK), first(X)),
         char_coeffs=(a[0], b[0]),
         classification=stability.classify(a, b, tol.classify)[0],
         hessian_signature=tuple(int(n[0]) for n in stability._signature(A, K, g, tol)),
+        _jacobian_blocks=(first(A), first(XK), first(X)),
     )
 
 

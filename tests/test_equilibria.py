@@ -416,8 +416,9 @@ def _records_and_reports(systems, table, lin):
         out.append(repr(records))
         for r in records:
             rep = lin(r, V)
-            out.append((rep.char_coeffs, rep.classification, rep.hessian_signature,
-                        rep.jacobian.tobytes()))
+            J = rep.jacobian
+            assert rep.jacobian is J
+            out.append((rep.char_coeffs, rep.classification, rep.hessian_signature, J.tobytes()))
     return out
 
 
@@ -438,6 +439,29 @@ def test_float_path_equals_the_numpy_scalar_reference(monkeypatch, table):
     monkeypatch.setattr(equilibria, "equilibrium_values", reference.equilibrium_values)
     want = _records_and_reports(systems, table, reference.linearize)
     assert len(got) > 2000 and got == want
+
+
+def test_the_jacobian_is_built_on_first_read(monkeypatch):
+    """linearize builds no Jacobian.  The first read of a report's
+    `jacobian` builds it, once, and it has the bytes of J built eagerly
+    from the blocks of the same state, on criterion 12's records."""
+    eager, built = stability._jacobian, []
+    monkeypatch.setattr(stability, "_jacobian", lambda *blocks: built.append(1) or eager(*blocks))
+    count = 0
+    for q, params in _criterion_12_systems():
+        V = cot_potential(params)
+        for r in solve_general(q, params, V):
+            rep = linearize(r, V)
+            assert not built
+            J = rep.jacobian
+            assert rep.jacobian is J and len(built) == 1
+            s = r.state
+            A, K, X, _ = stability._blocks((s.m1, s.m2, s.m3, s.q, s.p), params, V)
+            XK = stability._coefficients(A, K, X)[2]
+            assert J.shape == (5, 5) and J.tobytes() == eager(A, XK, X).tobytes()
+            built.clear()
+            count += 1
+    assert count > 500
 
 
 @pytest.mark.parametrize("table", [False, True], ids=["cot", "table"])
@@ -590,7 +614,9 @@ def test_every_residual_check_applies_one_cut(monkeypatch, tmp_path, check, resi
         return H, C, np.full(np.shape(res), residual)
 
     monkeypatch.setattr(equilibria, "equilibrium_values", injected)
-    # linearize and stability_rows take the residual under their V themselves
+    # linearize and stability_rows take the residual under their V themselves,
+    # stability_rows as max|rhs| over a batch
     monkeypatch.setattr(stability, "residual", lambda x, params, V: residual)
-    monkeypatch.setattr(stability, "equilibrium_values", injected)
+    monkeypatch.setattr(stability, "rhs",
+                        lambda x, params, V: (np.full(np.shape(x[0]), residual),) * 5)
     assert bool(CUT_CHECKS[check](tmp_path)) == (residual < CUT)

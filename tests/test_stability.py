@@ -301,23 +301,32 @@ OFF_TABLE = Tolerances(record_residual=1e-3)
 @pytest.mark.parametrize("table", [False, True])
 def test_stability_rows_equal_per_record_linearize(table):
     """Batched rows against one linearize call per grid entry, for cot and
-    for a table potential."""
+    for a table potential.  The grid holds entries with n_plus >= 2, so the
+    batched sign counts (rows and `_signature` on the batch) must add their
+    comparisons as integers, as linearize does, each signature summing to 4."""
     V = _table_cot() if table else cot_potential(identical_params(1.0))
     grid = closed_form_grid([0.7, 1.2, 2.0, 2.6], [1.0, 2.5, 4.0])
     tol = OFF_TABLE if table else DEFAULT_TOL
     rows = stability_rows(grid, V, tol)
+    A, K, _, g = _blocks(grid.states(), identical_params(grid.B), V)
+    batch = np.transpose(_signature(A, K, g, tol)).tolist()
     recs = grid.records()
-    assert len(rows) == len(recs) > 8
+    assert len(rows) == len(recs) == len(batch) > 8
     if table:
         with pytest.raises(ResidualTooLarge):
             linearize(recs[0], V)
-    for r, row in zip(recs, rows):
+    sigs = []
+    for r, row, column in zip(recs, rows, batch):
         rep = linearize(r, V, tol)
         assert (row["q"], row["B"], row["family"]) == (r.state.q, r.params.B, r.family.value)
         assert row["a"] == pytest.approx(rep.char_coeffs[0], rel=1e-9)
         assert row["b"] == pytest.approx(rep.char_coeffs[1], rel=1e-9)
         assert row["class"] == rep.classification.value
-        assert (row["n_plus"], row["n_minus"], row["n_zero"]) == rep.hessian_signature
+        sig = (row["n_plus"], row["n_minus"], row["n_zero"])
+        assert sig == rep.hessian_signature == tuple(column)
+        assert all(type(n) is int for n in sig + tuple(rep.hessian_signature)) and sum(sig) == 4
+        sigs.append(sig)
+    assert max(n_plus for n_plus, _, _ in sigs) == 4 and (2, 2, 0) in sigs
     with pytest.raises(ResidualTooLarge):
         stability_rows(dataclasses.replace(grid, m2=grid.m2 + 0.1), V, tol)
 
